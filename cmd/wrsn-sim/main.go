@@ -169,6 +169,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "  first partition:      round %d\n", metrics.FirstPartitionRound)
 		}
 	}
+	st := s.CoreStats()
+	fmt.Fprintf(stdout, "  simulator core:       %d spans, %d reduced rounds, %d event rounds\n",
+		st.Spans, st.ReducedRounds, st.EventRounds)
 	if *repair {
 		fmt.Fprintf(stdout, "  repairs:              %d applied, mean latency %.1f rounds\n",
 			metrics.Repairs, metrics.MeanRepairLatency())

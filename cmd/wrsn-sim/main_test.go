@@ -69,7 +69,7 @@ func TestSimRunWithCharger(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	s := out.String()
-	for _, frag := range []string{"simulated 2000 rounds", "delivery:", "empirical cost:"} {
+	for _, frag := range []string{"simulated 2000 rounds", "delivery:", "empirical cost:", "simulator core:"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("output missing %q:\n%s", frag, s)
 		}
@@ -132,6 +132,10 @@ func TestSimFleetAndLinkLossFlags(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "simulated 1500 rounds") {
 		t.Errorf("unexpected output:\n%s", out.String())
+	}
+	// Lossy links run on the per-round core: every round is an event round.
+	if !strings.Contains(out.String(), "0 spans, 0 reduced rounds, 1500 event rounds") {
+		t.Errorf("lossy run should report the per-round core:\n%s", out.String())
 	}
 	// Short runs start from full batteries, so no steady-state cost
 	// assertion here (internal/sim pins the 1/(1-p) inflation); the run

@@ -76,3 +76,33 @@ func BenchmarkSimLifetime(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimMobileCharger prices 1000 rounds of the event core with a
+// slow mobile charger that is idle most of the time: fault-free, six
+// nodes per post. Idle spans are bounded by the idle-charger horizon,
+// so this tracks how far the rotation-aware bound stretches them. CI
+// gates it at 0 allocs/op next to BenchmarkSimFastForward.
+func BenchmarkSimMobileCharger(b *testing.B) {
+	p, sol := rotationNetwork(b, 21, 250, 15, 6)
+	s, err := New(Config{
+		Problem:  p,
+		Solution: sol,
+		Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25},
+		Seed:     1,
+		Stepper:  StepperEvent,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := s.runEvent(ctx, 2000); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.runEvent(ctx, 1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

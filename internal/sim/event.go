@@ -49,16 +49,19 @@ const (
 // knobs (fault-free or scheduled faults only) never touch the RNG in
 // either core and match bit-for-bit.
 //
-// Span lengths come from conservative horizons. Battery-driven bounds
-// exploit that a post's maximum (and minimum) usable energy drops by at
-// most `need` per round, so floor(margin/need) rounds are provably safe;
-// the bound under-estimates the true horizon by up to the rotation
-// factor m, which costs O(m log) extra span recomputations per
-// depletion, not correctness. Two rounds of slack absorb float drift
-// (ulp-scale per round, many orders below `need`). Charger travel uses
-// dist/speed with the same slack and additionally detects the arrival
-// branch during replay, ending the span early, so the bound's tightness
-// affects only performance.
+// Span lengths come from conservative horizons. The starvation bound
+// uses that an operational post pays exactly `need` per round out of its
+// usable pool and that the rotation's max node holds at least the pool
+// mean. The idle-charger bound counts whole payments: the rotation
+// always pays the post's fullest node, so a post's nodes above a floor F
+// just over the charger's target absorb sum_j floor((e_j - F)/need)
+// payments before any node below F can be the max — and only then can a
+// payment push a node under the target (idleHorizon has the proof).
+// Every bound keeps two rounds of slack for float drift (ulp-scale per
+// round, many orders below `need`). Charger travel uses dist/speed with
+// the same slack and additionally detects the arrival branch during
+// replay, ending the span early. An underestimated horizon only ends a
+// span sooner; the event round always runs through step().
 //
 // Tracers see every round: a reduced round leaves the simulator's
 // observable state (metrics, batteries, charger positions) exactly as
@@ -66,6 +69,20 @@ const (
 // output is bit-identical. Observation cost itself is not skipped — a
 // tracer that scans the network every round bounds the speedup, not the
 // span.
+
+// CoreStats counts how a simulator's rounds were executed. It is kept out
+// of Metrics on purpose: Metrics is the simulation's outcome, identical
+// across cores, while CoreStats describes the core that produced it.
+type CoreStats struct {
+	Spans         int64 // fast-forwarded spans (event core only)
+	ReducedRounds int64 // rounds replayed inside those spans
+	EventRounds   int64 // rounds executed by the per-round step()
+}
+
+// CoreStats returns the cumulative execution counters. Under the exact
+// core every round is an event round. Horizon computations in the event
+// core number Spans + EventRounds.
+func (s *Simulator) CoreStats() CoreStats { return s.core }
 
 // spanState is the per-span flow snapshot: the per-round deltas every
 // reduced round applies, plus the derived per-post data the horizon
@@ -80,7 +97,6 @@ type spanState struct {
 	op     []bool    // post pays and forwards this span
 	opList []int     // operational posts in topological order
 	usable [][]int   // per-post usable node indices, ascending
-	minE   []float64 // min usable energy at span start (+Inf when none usable)
 	maxE   []float64 // max usable energy at span start (-1 when none usable)
 	sumE   []float64 // total usable energy at span start
 }
@@ -90,7 +106,6 @@ func (sp *spanState) init(n int) {
 	sp.op = make([]bool, n)
 	sp.opList = make([]int, 0, n)
 	sp.usable = make([][]int, n)
-	sp.minE = make([]float64, n)
 	sp.maxE = make([]float64, n)
 	sp.sumE = make([]float64, n)
 }
@@ -106,10 +121,14 @@ func (s *Simulator) runEvent(ctx context.Context, rounds int) error {
 		}
 		s.computeSpan()
 		if l := s.spanLength(rounds - done); l > 0 {
-			done += s.fastForward(l)
+			k := s.fastForward(l)
+			s.core.Spans++
+			s.core.ReducedRounds += int64(k)
+			done += k
 			continue
 		}
 		s.step()
+		s.core.EventRounds++
 		done++
 	}
 	return nil
@@ -132,21 +151,18 @@ func (s *Simulator) computeSpan() {
 	for i := 0; i < n; i++ {
 		u := sp.usable[i][:0]
 		nodes := s.posts[i].Nodes
-		minE, maxE, sumE := math.Inf(1), -1.0, 0.0
+		maxE, sumE := -1.0, 0.0
 		for j := range nodes {
 			if nodes[j].usableAt(round) {
 				u = append(u, j)
 				e := nodes[j].Energy
 				sumE += e
-				if e < minE {
-					minE = e
-				}
 				if e > maxE {
 					maxE = e
 				}
 			}
 		}
-		sp.usable[i], sp.minE[i], sp.maxE[i], sp.sumE[i] = u, minE, maxE, sumE
+		sp.usable[i], sp.maxE[i], sp.sumE[i] = u, maxE, sumE
 	}
 	sp.delivered, sp.lost, sp.starved, sp.ne = 0, 0, 0, 0
 	sp.opList = sp.opList[:0]
@@ -296,23 +312,49 @@ func (s *Simulator) chargerHorizon(c *chargerState, r0 int) int {
 
 // idleHorizon bounds how long every unclaimed usable post stays at or
 // above the charger's target fraction, so an idle charger's per-round
-// pickTarget keeps returning -1. Only operational posts drain, and
-// their minimum usable energy drops by at most `need` per round.
+// pickTarget keeps returning -1.
+//
+// The bound counts whole payments. Put a floor F a hair above the target
+// energy and give each usable node above it floor((e_j - F)/need)
+// payments; q is the post's total. The rotation pays the post's fullest
+// node every round, and while fewer than q payments have been made some
+// node still holds at least F + need (a node paid fewer than its share
+// does), so the max does too: every payment lands on a node that stays
+// at or above F. A node below F is paid only when it is the max, which
+// needs every node below F + need first — at least q payments. So for q
+// rounds no node falls below F, and nodes already in [target, F) are
+// never touched. The hair (relative 1e-9) absorbs the ulp-scale drift of
+// repeated `Energy -= need`, the epsilon inside the floor keeps a ratio
+// that rounds up to an integer from granting an extra payment, and two
+// more rounds of slack match the other bounds. Frozen posts (starved or
+// free) never move in-span.
 func (s *Simulator) idleHorizon(c *chargerState) int {
 	sp := &s.span
-	target := c.cfg.TargetFrac * s.cfg.BatteryCapacity
+	capacity := s.cfg.BatteryCapacity
+	round := s.metrics.Rounds + 1 // the round whose pickTarget is certified
+	floorE := c.cfg.TargetFrac * capacity * (1 + 1e-9)
 	best := int(^uint(0) >> 1)
 	for i := range s.posts {
 		if len(sp.usable[i]) == 0 || s.claimed[i] {
 			continue
 		}
-		if sp.minE[i] < target {
-			return 0 // already needy (ulp-edge defensive: run exactly)
+		// pickTarget's own predicate: a post needy now stays needy.
+		if s.posts[i].minEnergyFrac(capacity, round) < c.cfg.TargetFrac {
+			return 0
 		}
-		if !sp.op[i] || sp.need[i] <= 0 {
+		need := sp.need[i]
+		if !sp.op[i] || need <= 0 {
 			continue // frozen post: its batteries never move in-span
 		}
-		if q := (sp.minE[i] - target) / sp.need[i]; q < float64(best)+3 {
+		nodes := s.posts[i].Nodes
+		q := 0.0
+		for _, j := range sp.usable[i] {
+			if e := nodes[j].Energy; e > floorE {
+				q += math.Floor((e - floorE) / need * (1 - 1e-9))
+			}
+		}
+		// Compare in float: best starts at MaxInt.
+		if q < float64(best)+2 {
 			b := int(q) - 2
 			if b < 0 {
 				b = 0

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"wrsn/internal/model"
 )
 
 // The event-driven core's contract (event.go): for every configuration
@@ -429,5 +431,232 @@ func TestStepperSelection(t *testing.T) {
 	bogus.Stepper = StepperKind("per-round")
 	if _, err := New(bogus); err == nil {
 		t.Error("unknown stepper kind accepted")
+	}
+}
+
+// rotationNetwork is testNetwork with every post holding exactly `per`
+// nodes, so each post's rotation spreads payments over `per` batteries.
+// The routing tree does not depend on the deployment and stays valid.
+func rotationNetwork(t testing.TB, seed int64, side float64, n, per int) (*model.Problem, model.Solution) {
+	t.Helper()
+	p, sol := testNetwork(t, seed, side, n, per*n)
+	sol.Deploy = make(model.Deployment, n)
+	for i := range sol.Deploy {
+		sol.Deploy[i] = per
+	}
+	return p, sol
+}
+
+// TestEventCoreBitIdenticalRotation covers the regime where the
+// idle-charger horizon counts payments over a post's whole rotation:
+// six nodes per post, a slow charger that fills a post in one round,
+// scheduled faults with repair, over three battery lifetimes. Batteries
+// start near the target so many posts turn needy together and the
+// policies' choices differ.
+func TestEventCoreBitIdenticalRotation(t *testing.T) {
+	p, sol := rotationNetwork(t, 18, 300, 25, 6)
+	for _, policy := range []ChargerPolicy{PolicyUrgency, PolicyRoundRobin, PolicyTour} {
+		diffRun(t, "rotation-"+string(policy), Config{
+			Problem:  p,
+			Solution: sol,
+			Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25, Policy: policy},
+			Faults: &FaultConfig{Schedule: FaultSchedule{
+				{Round: 700, Kind: FaultKillNode, Post: 3},
+				{Round: 1900, Kind: FaultTransientNode, Post: 5, Duration: 120},
+				{Round: 2600, Kind: FaultKillPost, Post: 8},
+				{Round: 3100, Kind: FaultChargerDown, Charger: 0, Duration: 150},
+				{Round: 4400, Kind: FaultKillPost, Post: 11},
+			}},
+			Repair:            &RepairConfig{LatencyRounds: 10},
+			InitialChargeFrac: 0.6,
+			Seed:              5,
+		}, 3*DefaultBatteryRounds)
+	}
+}
+
+// TestIdleHorizonRotationBound sets batteries by hand, asks idleHorizon
+// for its certificate, then steps the exact core until the idle charger
+// first picks a target. No certified round may pick one, and the first
+// pick must come within m+3 rounds of the horizon (m = nodes at the
+// binding post): the min-based bound, which ignores the rotation, would
+// fall short by a factor of m and fail the second check.
+func TestIdleHorizonRotationBound(t *testing.T) {
+	p, sol := rotationNetwork(t, 19, 250, 10, 6)
+	const post = 4
+	setup := func(t *testing.T) (*Simulator, *chargerState) {
+		t.Helper()
+		s, err := New(Config{
+			Problem:  p,
+			Solution: sol,
+			Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25},
+			Seed:     1,
+			Stepper:  StepperEvent,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := s.chargers[0]
+		c.initPosition(s)
+		return s, c
+	}
+	// check certifies the current state and steps the exact core.
+	check := func(t *testing.T, s *Simulator, c *chargerState, m int) {
+		t.Helper()
+		s.computeSpan()
+		h := s.idleHorizon(c)
+		for r := 1; r <= h+m+3; r++ {
+			s.step()
+			if c.target < 0 {
+				continue
+			}
+			if r <= h {
+				t.Fatalf("round %d picked post %d inside the certified horizon %d", r, c.target, h)
+			}
+			return
+		}
+		t.Fatalf("horizon %d: no target picked within m+3 = %d further rounds", h, m+3)
+	}
+	// ulpEdge is the smallest energy pickTarget does not call needy.
+	ulpEdge := func(s *Simulator, c *chargerState) float64 {
+		capacity := s.cfg.BatteryCapacity
+		e := c.cfg.TargetFrac * capacity
+		for e/capacity < c.cfg.TargetFrac {
+			e = math.Nextafter(e, math.Inf(1))
+		}
+		for prev := math.Nextafter(e, 0); prev/capacity >= c.cfg.TargetFrac; prev = math.Nextafter(e, 0) {
+			e = prev
+		}
+		return e
+	}
+	// setPost computes the post's per-round need and sets node j to
+	// level(j, target, need).
+	setPost := func(s *Simulator, c *chargerState, i int, level func(j int, target, need float64) float64) {
+		s.computeSpan()
+		target, need := c.cfg.TargetFrac*s.cfg.BatteryCapacity, s.span.need[i]
+		for j := range s.posts[i].Nodes {
+			s.posts[i].Nodes[j].Energy = level(j, target, need)
+		}
+	}
+
+	t.Run("all-equal", func(t *testing.T) {
+		s, c := setup(t)
+		setPost(s, c, post, func(j int, target, need float64) float64 { return target + 5.5*need })
+		check(t, s, c, 6)
+	})
+	t.Run("spread", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 20; trial++ {
+			s, c := setup(t)
+			setPost(s, c, post, func(j int, target, need float64) float64 {
+				return target + rng.Float64()*12*need
+			})
+			check(t, s, c, 6)
+		}
+	})
+	t.Run("ulp-edge", func(t *testing.T) {
+		s, c := setup(t)
+		edge := ulpEdge(s, c)
+		setPost(s, c, post, func(j int, target, need float64) float64 {
+			if j == 2 {
+				return edge
+			}
+			return target + 4.5*need
+		})
+		check(t, s, c, 6)
+	})
+	t.Run("ulp-edge-needy", func(t *testing.T) {
+		s, c := setup(t)
+		below := math.Nextafter(ulpEdge(s, c), 0)
+		setPost(s, c, post, func(j int, target, need float64) float64 {
+			if j == 2 {
+				return below
+			}
+			return target + 4.5*need
+		})
+		s.computeSpan()
+		if h := s.idleHorizon(c); h != 0 {
+			t.Fatalf("a needy post certified %d idle rounds", h)
+		}
+		s.step()
+		if c.target != post {
+			t.Fatalf("needy post %d not picked on the next round (target %d)", post, c.target)
+		}
+	})
+	t.Run("m=1", func(t *testing.T) {
+		s, c := setup(t)
+		setPost(s, c, post, func(j int, target, need float64) float64 { return target + 7.5*need })
+		for j := 1; j < len(s.posts[post].Nodes); j++ {
+			s.posts[post].Nodes[j].Alive = false
+		}
+		check(t, s, c, 1)
+	})
+	t.Run("frozen", func(t *testing.T) {
+		// A target between two posts' per-round needs lets the busier
+		// post starve without ever looking needy: its batteries never
+		// move, so it must not limit the horizon. The busiest post is
+		// frozen and the least busy one binds.
+		s, c := setup(t)
+		s.computeSpan()
+		frozen, bind := 0, 0
+		for i, need := range s.span.need {
+			if need > s.span.need[frozen] {
+				frozen = i
+			}
+			if need < s.span.need[bind] {
+				bind = i
+			}
+		}
+		target := (s.span.need[frozen] + s.span.need[bind]) / 2
+		c.cfg.TargetFrac = target / s.cfg.BatteryCapacity
+		setPost(s, c, frozen, func(j int, target, need float64) float64 { return (target + need) / 2 })
+		setPost(s, c, bind, func(j int, target, need float64) float64 { return target + 3.5*need })
+		s.computeSpan()
+		if s.span.op[frozen] {
+			t.Fatalf("post %d still operational", frozen)
+		}
+		before := append([]Node(nil), s.posts[frozen].Nodes...)
+		check(t, s, c, 6)
+		for j, nd := range s.posts[frozen].Nodes {
+			if nd != before[j] {
+				t.Fatalf("frozen post's node %d moved: %+v -> %+v", j, before[j], nd)
+			}
+		}
+	})
+}
+
+// TestEventCoreSpanShare pins how much of a lifetime-shaped run (100
+// posts, six nodes per post on average, a slow charger, stochastic
+// failures and online repair, three battery lifetimes) the event core
+// fast-forwards. With the idle-charger horizon bounded by the weakest
+// node alone, 61% of rounds ran through step().
+func TestEventCoreSpanShare(t *testing.T) {
+	p, sol := testNetwork(t, 20, 500, 100, 600)
+	s, err := New(Config{
+		Problem:  p,
+		Solution: sol,
+		Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25},
+		Faults: &FaultConfig{
+			NodeFailurePerRound: 1e-4,
+			TransientPerRound:   1e-4,
+			TransientMeanRounds: 50,
+		},
+		Repair:  &RepairConfig{LatencyRounds: 10},
+		Seed:    1,
+		Stepper: StepperEvent,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Run(3 * DefaultBatteryRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.CoreStats()
+	t.Logf("%+v over %d rounds", st, m.Rounds)
+	if st.ReducedRounds+st.EventRounds != int64(m.Rounds) {
+		t.Fatalf("core stats %+v do not add up to %d rounds", st, m.Rounds)
+	}
+	if share := float64(st.EventRounds) / float64(m.Rounds); share > 0.30 {
+		t.Errorf("%.1f%% of rounds ran through step() (%+v), want <= 30%%", 100*share, st)
 	}
 }

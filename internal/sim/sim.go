@@ -347,6 +347,7 @@ type Simulator struct {
 	// Event-driven core state (event.go).
 	eventMode bool      // run the event-horizon core instead of per-round stepping
 	span      spanState // per-span flow snapshot and per-round deltas
+	core      CoreStats // how rounds were executed (CoreStats)
 	everDown  bool      // some node has been transiently down at least once
 
 	// Online repair machinery, built lazily on the first repair and kept
@@ -617,6 +618,7 @@ func (s *Simulator) RunCtx(ctx context.Context, rounds int) (*Metrics, error) {
 				}
 			}
 			s.step()
+			s.core.EventRounds++
 		}
 	}
 	s.metrics.postCount = s.p.N()
