@@ -44,9 +44,12 @@ type Evaluator interface {
 // idle on its committed state (no Commit/Revert is due); pruned=false
 // behaves exactly like CostDelta, including the pending-probe state.
 // Implementations may price exactly and never prune — the capability
-// licenses the early exit, it does not require it. Branch-and-bound
-// passes its incumbent-derived prune threshold here so doomed probes
-// stop settling as soon as a partial lower bound crosses it.
+// licenses the early exit, it does not require it. IncrementalEvaluator
+// prunes only in its scan-min regime (n+1 <= 16 vertices), by abandoning
+// the re-settle once a partial lower bound crosses the limit. Branch and
+// bound first asks IncrementalEvaluator.PruneByFloor, which rejects most
+// doomed bound probes at any graph size before any move is applied, and
+// passes only the survivors here.
 type BoundedProber interface {
 	CostDeltaBounded(moves []Move, limit float64) (cost float64, pruned bool, err error)
 }
@@ -81,6 +84,9 @@ func EvaluatorFeatures() map[string]bool {
 		"probe_promotion": true,
 		// Limit-aware probes for branch-and-bound (BoundedProber).
 		"bounded_probes": true,
+		// Branch-and-bound rejects bound probes from the parent node's
+		// saved distances before applying any move (PruneByFloor).
+		"floor_bounds": true,
 		// Memo defaults: the private memo stays anneal-only and the
 		// shared memo stays opt-in (-memo-entries). Re-measured after the
 		// probe cache landed: IDB/local-search round bases almost never

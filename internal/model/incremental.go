@@ -139,6 +139,10 @@ type IncrementalEvaluator struct {
 	patchSaved []float64
 
 	stats EvalStats
+
+	// PruneByFloor scratch (nil until first used; see floor.go).
+	lbEff []float64
+	lbRxw []float64
 }
 
 // distSave journals one vertex's pre-probe shortest-path state. Entries
@@ -177,14 +181,14 @@ const (
 // regardless of settle order), so the switch can never change a cost.
 const tinyVerts = 16
 
-// boundedSlack is the safety margin CostDeltaBounded adds on top of the
-// caller's limit before abandoning a probe. The partial-settle estimate
-// and totalCost accumulate the same per-post terms in different float
-// orders, whose divergence is bounded by ~n*eps of the cost magnitude
-// (~1e-10 nJ at this suite's scale); 1e-6 dwarfs that, so a pruned
-// probe's exactly-summed cost is guaranteed to be >= limit. The margin
-// only makes pruning more conservative — probes within boundedSlack of
-// the limit complete and return their exact cost.
+// boundedSlack is the safety margin CostDeltaBounded and PruneByFloor
+// add on top of the caller's limit before abandoning a probe. The
+// partial-settle estimate and totalCost accumulate the same per-post
+// terms in different float orders, whose divergence is bounded by ~n*eps
+// of the cost magnitude (~1e-10 nJ at this suite's scale); 1e-6 dwarfs
+// that, so a pruned probe's exactly-summed cost is guaranteed to be >=
+// limit. The margin only makes pruning more conservative — probes within
+// boundedSlack of the limit complete and return their exact cost.
 const boundedSlack = 1e-6
 
 // EvalStats counts how an IncrementalEvaluator answered its queries;
@@ -209,6 +213,10 @@ type EvalStats struct {
 	// because a partial-settle lower bound already reached the caller's
 	// limit.
 	BoundedPrunes int64
+	// FloorPrunes counts PruneByFloor calls that proved a deployment
+	// reaches the caller's limit from a saved Floor, before any move was
+	// applied. They are not probes and do not count in Probes.
+	FloorPrunes int64
 	// CacheHits counts candidates re-priced from the probe cache
 	// without a repair (CachedCost).
 	CacheHits int64
@@ -492,7 +500,9 @@ func (ev *IncrementalEvaluator) CostDelta(moves []Move) (float64, error) {
 // would have been >= limit; a completed probe behaves exactly like
 // CostDelta. The early exit engages in the scan-min regime (n+1 <=
 // tinyVerts, where the exact searches operate); larger instances and
-// memo-answered probes price exactly and never prune.
+// memo-answered probes price exactly and never prune here. Branch and
+// bound calls this only for probes PruneByFloor could not reject, so
+// the probes that reach it are the hard ones.
 func (ev *IncrementalEvaluator) CostDeltaBounded(moves []Move, limit float64) (float64, bool, error) {
 	return ev.costDeltaLimited(moves, limit)
 }

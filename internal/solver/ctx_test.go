@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"wrsn/internal/model"
 )
 
 // cancelMidRun starts solve on a background goroutine, cancels its
@@ -28,13 +30,33 @@ func cancelMidRun(t *testing.T, name string, deadline time.Duration, solve func(
 }
 
 // TestOptimalCtxCancelsMidSearch aborts the branch-and-bound mid-run:
-// the instance is big enough that the full search takes far longer than
-// the cancellation window.
+// the instances are big enough that the full search takes far longer
+// than the cancellation window.
 func TestOptimalCtxCancelsMidSearch(t *testing.T) {
 	p := randomProblem(t, 501, 200, 12, 44)
 	cancelMidRun(t, "OptimalCtx", 10*time.Second, func(ctx context.Context) error {
 		_, err := OptimalCtx(ctx, p, OptimalOptions{})
 		return err
+	})
+
+	// Seeded with the optimum itself (recorded from a full run), the
+	// search only has to prove it: six in seven bound probes are pruned,
+	// half of all probes by the parent's floor before any move is
+	// applied. Those rejections pass through the same probe counter as
+	// evaluated probes, so cancellation still lands on the
+	// ctxCheckStride cadence.
+	t.Run("optimal incumbent", func(t *testing.T) {
+		p := randomProblem(t, 56, 200, 12, 36)
+		best := model.Deployment{2, 2, 4, 2, 5, 3, 7, 2, 1, 2, 2, 4}
+		tree, cost, err := model.BestTreeFor(p, best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		incumbent := &Result{Solution: model.Solution{Deploy: best, Tree: tree, Cost: cost}}
+		cancelMidRun(t, "OptimalCtx", 10*time.Second, func(ctx context.Context) error {
+			_, err := OptimalCtx(ctx, p, OptimalOptions{Incumbent: incumbent})
+			return err
+		})
 	})
 }
 

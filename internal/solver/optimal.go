@@ -13,11 +13,13 @@ import (
 // OptimalOptions configures the exact branch-and-bound solver.
 type OptimalOptions struct {
 	// MaxEvaluations aborts the search after this many *completed*
-	// deployment evaluations (bound probes + leaves; probes the bounded
-	// evaluator abandons mid-settle never produce a cost and do not
-	// count — the same semantics as the Result.Evaluations counter);
-	// 0 means unlimited. When the search aborts, ErrSearchBudget is
-	// returned.
+	// deployment evaluations: bound probes that produced a cost, the
+	// root's included. Pruned probes never produce a cost and do not
+	// count, at any instance size: those the parent's floor bound
+	// rejects before any move is applied, and, on graphs of at most 16
+	// vertices, those the bounded evaluator abandons mid-settle. These
+	// are the semantics of the Result.Evaluations counter. 0 means
+	// unlimited. When the search aborts, ErrSearchBudget is returned.
 	MaxEvaluations int64
 	// Incumbent optionally seeds the search with a known-feasible
 	// solution (e.g. from IDB); nil lets Optimal run IDB(1) itself.
@@ -44,6 +46,10 @@ const costSlack = 1e-9
 //  2. The cost is monotone non-increasing in every m_i, so giving every
 //     undecided post the largest node count it could still receive yields
 //     an admissible lower bound for the whole subtree of completions.
+//     The same monotonicity makes an expanded node's exact bound
+//     distances a floor under every child's, so most doomed child bounds
+//     are rejected from that floor before any move is applied
+//     (model.IncrementalEvaluator.PruneByFloor).
 //
 // Posts are branched in decreasing order of routing workload under the
 // incumbent's tree, with larger node counts tried first — the shape the
@@ -71,18 +77,22 @@ func OptimalInstance(ctx context.Context, inst model.Instance, opts OptimalOptio
 
 // OptimalCtx is Optimal with cancellation: the context is checked on a
 // ctxCheckStride cadence inside the branch-and-bound's evaluation
-// closure — the single funnel every search node passes through — so a
-// cancelled search unwinds and returns ctx.Err() within a handful of
-// Dijkstra runs.
+// closure — the single funnel every search node passes through, floor
+// rejections included — so a cancelled search unwinds and returns
+// ctx.Err() within a handful of Dijkstra runs.
 func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	n := p.N()
-	ev, err := newDeltaEvaluator(ctx, p)
+	// The concrete evaluator, not p.NewEvaluator's interface: the floor
+	// bound is an IncrementalEvaluator method.
+	inc, err := model.NewIncrementalEvaluator(p)
 	if err != nil {
 		return nil, err
 	}
+	model.AttachEvaluatorSharedMemo(ctx, inc)
+	ev := &deltaEvaluator{ev: inc, prev: make([]int, n)}
 
 	incumbent := opts.Incumbent
 	if incumbent == nil {
@@ -110,18 +120,25 @@ func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Re
 	var (
 		evaluations int64
 		probes      int64
-		budgetErr   error
 		counts      = make([]int, n) // counts in *post* index space
 		boundBuf    = make([]int, n)
+		// floors[d] holds the exact distances of the depth-d node being
+		// expanded, saved once when it expands; its children's bound
+		// vectors are componentwise below it.
+		floors = make([]model.Floor, n)
 	)
-	// evaluate prices m against the prune threshold bestCost-costSlack.
-	// A pruned probe proves its cost would not beat the incumbent and is
-	// abandoned mid-settle (model.BoundedProber), so it never produces a
-	// float and is not counted in Evaluations — MaxEvaluations therefore
-	// budgets *completed* evaluations, matching the reported counter.
-	// Cancellation and the budget are checked on the probe cadence so
-	// long pruned streaks cannot stall either.
-	evaluate := func(m []int) (float64, bool, error) {
+	// evaluate prices the bound vector m against the prune threshold
+	// bestCost-costSlack. floor is the parent node's (nil only at the
+	// root). A pruned probe proves its cost would not beat the incumbent
+	// and produces no float: either the floor bound already rejects it,
+	// before any move is applied (model.IncrementalEvaluator.PruneByFloor),
+	// or the bounded evaluator abandons it mid-settle
+	// (model.BoundedProber). Pruned probes are not counted in Evaluations,
+	// so MaxEvaluations budgets *completed* evaluations, matching the
+	// reported counter. Cancellation and the budget are checked on the
+	// probe cadence, pruned probes included, so long pruned streaks cannot
+	// stall either.
+	evaluate := func(m []int, floor *model.Floor) (float64, bool, error) {
 		probes++
 		if opts.MaxEvaluations > 0 && evaluations >= opts.MaxEvaluations {
 			return 0, false, ErrSearchBudget
@@ -131,9 +148,16 @@ func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Re
 				return 0, false, err
 			}
 		}
+		limit := bestCost - costSlack
+		if floor != nil {
+			doomed, err := inc.PruneByFloor(floor, m, limit)
+			if err != nil || doomed {
+				return 0, doomed, err
+			}
+		}
 		// Sibling search nodes share most of their vector, so the delta
 		// funnel reprices only the posts the branch actually changed.
-		cost, pruned, err := ev.evalBounded(m, bestCost-costSlack)
+		cost, pruned, err := ev.evalBounded(m, limit)
 		if err != nil {
 			return 0, false, err
 		}
@@ -143,66 +167,56 @@ func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Re
 		return cost, pruned, nil
 	}
 
-	// dfs assigns order[depth..]; budget nodes remain for them.
+	// dfs assigns order[depth..]; budget nodes remain for them. Every
+	// node, the root included, first prices its admissible bound: each
+	// undecided post gets the most it could still receive (others at
+	// their minimum of 1).
 	var dfs func(depth, budget int) error
 	dfs = func(depth, budget int) error {
 		remaining := n - depth
-		if remaining == 0 {
-			cost, pruned, err := evaluate(counts)
-			if err != nil {
-				return err
-			}
-			if !pruned && cost < bestCost-costSlack {
-				bestCost = cost
-				copy(bestDeploy, counts)
-			}
-			return nil
+		maxEach := budget - (remaining - 1)
+		copy(boundBuf, counts)
+		for _, i := range order[depth:] {
+			boundBuf[i] = maxEach
 		}
+		var floor *model.Floor
 		if depth > 0 {
-			// Admissible bound: every undecided post gets the most it
-			// could still receive (others at their minimum of 1).
-			maxEach := budget - (remaining - 1)
-			copy(boundBuf, counts)
-			for _, i := range order[depth:] {
-				boundBuf[i] = maxEach
-			}
-			lb, pruned, err := evaluate(boundBuf)
-			if err != nil {
-				return err
-			}
-			if pruned || lb >= bestCost-costSlack {
-				return nil
-			}
-			if maxEach == 1 || remaining == 1 {
-				// The bound vector IS this subtree's only completion
-				// (budget == remaining forces every undecided post to 1;
-				// one undecided post takes the whole budget), so the
-				// non-pruned subtree holds exactly one leaf whose cost is
-				// the float just computed. Descending would re-evaluate
-				// that same vector at every chain node and at the leaf —
-				// all empty-diff probes returning bit-identical floats,
-				// with the incumbent unchanged in between (only leaves
-				// update it) — before accepting it through the improve
-				// test, which is the exact complement of the prune test
-				// above on the same float. Fold the chain into the bound
-				// evaluation and accept directly.
-				bestCost = lb
-				copy(bestDeploy, boundBuf)
-				return nil
-			}
+			floor = &floors[depth-1]
 		}
-		post := order[depth]
-		if remaining == 1 {
-			// Only reachable at depth == 0 (n == 1): no bound was
-			// evaluated, so the single leaf still needs pricing.
-			counts[post] = budget
-			err := dfs(depth+1, 0)
-			counts[post] = 0
+		lb, pruned, err := evaluate(boundBuf, floor)
+		if err != nil {
 			return err
 		}
+		if pruned || lb >= bestCost-costSlack {
+			return nil
+		}
+		if maxEach == 1 || remaining == 1 {
+			// The bound vector IS this subtree's only completion
+			// (budget == remaining forces every undecided post to 1;
+			// one undecided post takes the whole budget), so the
+			// non-pruned subtree holds exactly one leaf whose cost is
+			// the float just computed. Descending would re-evaluate
+			// that same vector at every chain node and at the leaf —
+			// all empty-diff probes returning bit-identical floats,
+			// with the incumbent unchanged in between (only leaves
+			// update it) — before accepting it through the improve
+			// test, which is the exact complement of the prune test
+			// above on the same float. Fold the chain into the bound
+			// evaluation and accept directly.
+			bestCost = lb
+			copy(bestDeploy, boundBuf)
+			return nil
+		}
+		// The probe above left this bound vector committed. Every child
+		// lowers the branched post to m and the undecided posts to
+		// maxEach-m+1, so these exact distances floor all of them.
+		if err := inc.SaveFloor(&floors[depth]); err != nil {
+			return err
+		}
+		post := order[depth]
 		// Larger counts first: the optimum concentrates nodes on
 		// high-workload posts, which this order reaches early.
-		for m := budget - (remaining - 1); m >= 1; m-- {
+		for m := maxEach; m >= 1; m-- {
 			counts[post] = m
 			if err := dfs(depth+1, budget-m); err != nil {
 				counts[post] = 0
@@ -213,14 +227,7 @@ func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Re
 		return nil
 	}
 	if err := dfs(0, p.Nodes); err != nil {
-		if errors.Is(err, ErrSearchBudget) {
-			budgetErr = err
-		} else {
-			return nil, err
-		}
-	}
-	if budgetErr != nil {
-		return nil, budgetErr
+		return nil, err
 	}
 
 	parents, _, err := ev.bestParents(bestDeploy)
