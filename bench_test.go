@@ -389,6 +389,23 @@ func BenchmarkSolveLocalSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveAnneal measures the simulated-annealing walk at the
+// ext-portfolio shape (350x350 m, 40 posts, 200 nodes), seeded by
+// iterative RFH outside the timer so only the walk's probes are timed.
+func BenchmarkSolveAnneal(b *testing.B) {
+	p := benchProblem(b, 1, 350, 40, 200)
+	seedResult, err := solver.IterativeRFH(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := solver.Anneal(p, solver.AnnealOptions{Start: seedResult, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolveIDBParallel measures the concurrent IDB at Fig. 8 scale;
 // compare against BenchmarkSolveIDB for the speedup.
 func BenchmarkSolveIDBParallel(b *testing.B) {

@@ -157,7 +157,6 @@ type benchArtifact struct {
 	// were measured under, so artifacts are comparable without consulting
 	// the commit they shipped with.
 	GOMAXPROCS         int             `json:"gomaxprocs"`
-	MemoEntries        int             `json:"memo_entries"`
 	Features           map[string]bool `json:"features"`
 	TotalWallSeconds   float64         `json:"total_wall_seconds"`
 	TotalActiveSeconds float64         `json:"total_active_seconds"`
@@ -183,7 +182,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		jsonP       = fs.String("json", "", "additionally write the structured figures as JSON to this file")
 		workers     = fs.Int("workers", 0, "engine worker-pool size shared across figures (0 = GOMAXPROCS; results identical at any value)")
 		timeout     = fs.Duration("timeout", 0, "per-cell timeout, e.g. 30s (0 = unbounded)")
-		memo        = fs.Int("memo-entries", 0, "per-instance shared deployment-cost memo size (0 = disabled, the default; try 16384 — results identical either way)")
 		progress    = fs.Bool("progress", false, "render a live cell-progress line on stderr")
 		bench       = fs.String("bench", "", "write a machine-readable perf artifact (per-figure wall time, cells/sec, evaluations) to this file")
 		cpuProf     = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -304,13 +302,12 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		poolSize = runtime.GOMAXPROCS(0)
 	}
 	baseOpts := experiments.Options{
-		Seeds:       *seeds,
-		BaseSeed:    *seed,
-		Quick:       *quick,
-		Context:     ctx,
-		Workers:     poolSize,
-		Timeout:     *timeout,
-		MemoEntries: *memo,
+		Seeds:    *seeds,
+		BaseSeed: *seed,
+		Quick:    *quick,
+		Context:  ctx,
+		Workers:  poolSize,
+		Timeout:  *timeout,
 		// One budget for every concurrently running figure: combined
 		// active cells never exceed the pool size.
 		Limiter:    engine.NewLimiter(poolSize),
@@ -664,13 +661,12 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	if *bench != "" {
 		artifact := benchArtifact{
-			Command:     "wrsn-experiments -fig " + *fig,
-			Workers:     poolSize,
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			MemoEntries: *memo,
-			Features:    model.EvaluatorFeatures(),
-			Partial:     ctx.Err() != nil,
-			Figures:     timings,
+			Command:    "wrsn-experiments -fig " + *fig,
+			Workers:    poolSize,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			Features:   model.EvaluatorFeatures(),
+			Partial:    ctx.Err() != nil,
+			Figures:    timings,
 		}
 		artifact.TotalWallSeconds = totalWall.Seconds()
 		for _, tm := range timings {

@@ -16,10 +16,9 @@
 //     collapse for everyone; while draining, new work is refused with
 //     503.
 //   - Plan cache: problems are canonicalized and hashed
-//     (model.CanonicalSignature/CanonicalKey, the Zobrist-style mixing
-//     the evaluator memos use) into a bounded LRU. A hit returns the
-//     exact bytes of the original solve — byte-identical answers, across
-//     restarts when the cache journal is enabled.
+//     (model.CanonicalSignature/CanonicalKey) into a bounded LRU. A
+//     hit returns the exact bytes of the original solve — byte-identical
+//     answers, across restarts when the cache journal is enabled.
 //   - Scheduling: cache misses take a slot on an engine.Limiter worker
 //     pool (shareable, in principle, with in-process sweeps), waiting
 //     under the request's deadline.

@@ -276,20 +276,6 @@ type RunConfig struct {
 	// Limiter optionally shares a concurrency budget with other sweeps
 	// running at the same time (nil = this sweep's workers only).
 	Limiter Limiter
-	// MemoEntries, when positive, sizes the per-instance shared
-	// deployment-cost memo (model.SharedMemo) the engine attaches to
-	// every cell's context: all algorithm cells pricing one (point,
-	// seed) instance share already-priced deployments
-	// (model.DefaultSharedMemoEntries is a reasonable size). 0 or
-	// negative disables sharing — the default, because at paper scale
-	// the probe/store cache traffic measurably outweighs the hits:
-	// commit-per-probe consumers (exhaustive/branch-and-bound solvers)
-	// must re-run the repair on Commit even after a hit, and the
-	// probe-revert heuristics rarely revisit deployments across cells.
-	// The memo is lock-free and only ever returns exact costs for exact
-	// deployment keys, so results stay bit-identical at any worker count
-	// whether or not it is enabled.
-	MemoEntries int
 }
 
 // Result is a finished sweep: the assembled figure, the raw per-cell
@@ -332,13 +318,10 @@ type Result struct {
 type cell struct{ point, seed, algo int }
 
 // instSlot lazily generates one (point, seed) instance exactly once,
-// whichever cell touches it first. The slot also owns the instance's
-// shared deployment-cost memo, so every algorithm cell for the instance
-// prices against the same table.
+// whichever cell touches it first.
 type instSlot struct {
 	once sync.Once
 	inst *Instance
-	memo *model.SharedMemo
 	err  error
 }
 
@@ -685,9 +668,6 @@ func (r *runner) instance(pi, si int) (*Instance, error) {
 			BaseSeed:     r.sw.BaseSeed,
 			InstanceSeed: seed,
 		}
-		if r.cfg.MemoEntries > 0 {
-			slot.memo = model.NewSharedMemo(r.cfg.MemoEntries)
-		}
 	})
 	return slot.inst, slot.err
 }
@@ -797,9 +777,6 @@ func (r *runner) attempt(workCtx context.Context, inst *Instance, algo *Algorith
 		var cancelCell context.CancelFunc
 		cellCtx, cancelCell = context.WithTimeoutCause(workCtx, r.cfg.CellTimeout, cause)
 		defer cancelCell()
-	}
-	if memo := r.insts[c.point][c.seed].memo; memo != nil {
-		cellCtx = model.WithSharedMemo(cellCtx, memo, uint64(inst.InstanceSeed))
 	}
 	start := time.Now()
 	func() {

@@ -106,46 +106,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunMemoDeterminism extends the golden determinism check across the
-// shared-memo axis: the per-instance deployment-cost memo must never
-// change a result, at any worker count, whether sized explicitly,
-// defaulted, or disabled. Memo hits return exactly the cost the first
-// pricing computed, so every combination is bit-identical by design;
-// this test enforces it.
-func TestRunMemoDeterminism(t *testing.T) {
-	configs := []RunConfig{
-		{Workers: 1},
-		{Workers: 1, MemoEntries: model.DefaultSharedMemoEntries},
-		{Workers: 4},
-		{Workers: 4, MemoEntries: 64},
-		{Workers: 4, MemoEntries: model.DefaultSharedMemoEntries},
-	}
-	var goldenJSON []byte
-	var goldenRaw [][][][]float64
-	for _, cfg := range configs {
-		res, err := Run(context.Background(), testSweep(), cfg)
-		if err != nil {
-			t.Fatalf("workers=%d memo=%d: %v", cfg.Workers, cfg.MemoEntries, err)
-		}
-		buf, err := json.Marshal(res.Figure)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		if goldenJSON == nil {
-			goldenJSON = buf
-			goldenRaw = res.Raw
-			continue
-		}
-		if string(buf) != string(goldenJSON) {
-			t.Errorf("workers=%d memo=%d produced different figure JSON:\n%s\nvs golden:\n%s",
-				cfg.Workers, cfg.MemoEntries, buf, goldenJSON)
-		}
-		if !reflect.DeepEqual(res.Raw, goldenRaw) {
-			t.Errorf("workers=%d memo=%d produced different raw values", cfg.Workers, cfg.MemoEntries)
-		}
-	}
-}
-
 // TestRunFigureShape checks labels, CI and series ordering follow the
 // spec declaration order.
 func TestRunFigureShape(t *testing.T) {

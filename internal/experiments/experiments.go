@@ -42,12 +42,6 @@ type Options struct {
 	Workers int
 	// Timeout bounds each (point, seed, algorithm) cell (0 = unbounded).
 	Timeout time.Duration
-	// MemoEntries, when positive, enables the engine's per-instance
-	// shared deployment-cost memo of that size, letting all algorithm
-	// cells pricing one instance share already-priced deployments
-	// (0 = disabled, the default — see engine.RunConfig.MemoEntries for
-	// why). Values are bit-identical either way.
-	MemoEntries int
 	// Progress observes engine cell events (may be nil).
 	Progress engine.ProgressFunc
 	// Limiter optionally shares a cell-concurrency budget with other
@@ -107,7 +101,6 @@ func (o Options) runConfig() engine.RunConfig {
 	return engine.RunConfig{
 		Workers:     o.Workers,
 		CellTimeout: o.Timeout,
-		MemoEntries: o.MemoEntries,
 		Progress:    o.Progress,
 		Limiter:     o.Limiter,
 		Retry:       o.Retry,

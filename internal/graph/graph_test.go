@@ -228,3 +228,52 @@ func TestInOutViews(t *testing.T) {
 		t.Errorf("counts: %d vertices, %d edges", g.NumVertices(), g.NumEdges())
 	}
 }
+
+// FuzzDijkstraVsBellmanFord pins the CSR Dijkstra against the retained
+// Bellman-Ford oracle on fuzzer-shaped graphs.
+func FuzzDijkstraVsBellmanFord(f *testing.F) {
+	f.Add(int64(42), uint8(12), uint8(40), uint8(3))
+	f.Add(int64(9), uint8(30), uint8(200), uint8(17))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, densityRaw, targetRaw uint8) {
+		n := 2 + int(nRaw)%40
+		density := float64(densityRaw) / 255 * 0.4
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng, n, density)
+		target := int(targetRaw) % n
+		fast, err := g.DistancesTo(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := g.BellmanFordTo(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			if math.IsInf(fast[v], 1) != math.IsInf(slow[v], 1) {
+				t.Fatalf("reachability disagrees at %d: %v vs %v", v, fast[v], slow[v])
+			}
+			if !math.IsInf(fast[v], 1) && math.Abs(fast[v]-slow[v]) > 1e-6 {
+				t.Fatalf("dist[%d] = %v (dijkstra) vs %v (bellman-ford)", v, fast[v], slow[v])
+			}
+		}
+	})
+}
+
+// BenchmarkCSRRelax measures a full Dijkstra relax pass over the CSR
+// layout via a Router (reused buffers). The CI alloc gate requires 0
+// allocs/op.
+func BenchmarkCSRRelax(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	g := randomGraph(rng, 300, 0.1)
+	r := NewRouter(g)
+	if _, err := r.DistancesTo(0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.DistancesTo(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -129,3 +129,27 @@ func BenchmarkHeapPushPop(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIndexedMinHeapKernel measures the push/pop cycle on one warm
+// heap reused via Reset, the pattern the evaluator's repair loop runs.
+// The CI alloc gate requires 0 allocs/op.
+func BenchmarkIndexedMinHeapKernel(b *testing.B) {
+	const n = 256
+	h := NewIndexedMinHeap(n)
+	rng := rand.New(rand.NewSource(2))
+	prios := make([]float64, n)
+	for i := range prios {
+		prios[i] = 1 + rng.Float64()*63
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Reset()
+		for k := 0; k < n; k++ {
+			h.Push(k, prios[k])
+		}
+		for h.Len() > 0 {
+			h.Pop()
+		}
+	}
+}

@@ -24,8 +24,8 @@ func CanonicalSignature(inst Instance) (string, error) {
 }
 
 // CanonicalKey condenses a canonical signature into a 64-bit cache key
-// with the same splitmix64 finaliser the Zobrist deployment keys use
-// (zkey): every signature byte is folded through the mixer, so nearby
+// with the splitmix64 finaliser: every signature byte is folded through
+// the mixer, so nearby
 // signatures (one count or coordinate apart) land in unrelated slots.
 // Collisions are possible — pair the key with the full signature, as
 // the wrsnd plan cache does, when a false hit would be incorrect rather
@@ -38,8 +38,8 @@ func CanonicalKey(sig string) uint64 {
 	return mix64(x)
 }
 
-// mix64 is the splitmix64 finaliser (the same mixing zkey applies to
-// (post, count) pairs), kept platform-stable and dependency-free.
+// mix64 is the splitmix64 finaliser, kept platform-stable and
+// dependency-free.
 func mix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x ^= x >> 30

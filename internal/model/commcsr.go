@@ -30,11 +30,6 @@ type commCSR struct {
 	outTo   []int32
 	outSlot []int32   // out slot -> in slot of the same edge
 	outTx   []float64 // same energies as inTx, indexed by out slot
-
-	// Bounds over the transmit energies, for the bucket-queue
-	// applicability rule.
-	minTx float64
-	maxTx float64
 }
 
 // buildCommCSR precomputes the communication topology of p. Edge
@@ -79,8 +74,6 @@ func buildCommCSR(p *Problem) (*commCSR, error) {
 	c.outTo = make([]int32, m)
 	c.outSlot = make([]int32, m)
 	c.outTx = make([]float64, m)
-	c.minTx = inf
-	c.maxTx = 0
 
 	// In-rows: stable counting sort by head v. The edge list is ordered
 	// by (u, v); within one v the u values therefore appear ascending,
@@ -103,12 +96,6 @@ func buildCommCSR(p *Problem) (*commCSR, error) {
 		c.inFrom[s] = e.u
 		c.inTx[s] = e.tx
 		inSlotOf[i] = s
-		if e.tx < c.minTx {
-			c.minTx = e.tx
-		}
-		if e.tx > c.maxTx {
-			c.maxTx = e.tx
-		}
 	}
 
 	// Out-rows: the old build iterated v ascending and appended to

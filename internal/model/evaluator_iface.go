@@ -87,13 +87,6 @@ func EvaluatorFeatures() map[string]bool {
 		// Branch-and-bound rejects bound probes from the parent node's
 		// saved distances before applying any move (PruneByFloor).
 		"floor_bounds": true,
-		// Memo defaults: the private memo stays anneal-only and the
-		// shared memo stays opt-in (-memo-entries). Re-measured after the
-		// probe cache landed: IDB/local-search round bases almost never
-		// repeat an exact deployment, so memo lookups stay cold there
-		// while costing a hash per probe.
-		"private_memo_default": false,
-		"shared_memo_default":  false,
 	}
 }
 

@@ -44,18 +44,13 @@ var (
 // CostEvaluator.MinCost on the materialised vector; the differential and
 // fuzz suites pin that equivalence.
 //
-// The priority queue is a BucketQueue: heap mode at this suite's scale,
-// dial/bucket mode when Configure's applicability rule selects it for
-// large instances with a narrow discrete weight band — the two modes pop
-// in the same (priority, key) order, so the choice never changes results.
+// The repair and full runs pop from one IndexedMinHeap in (priority,
+// key) order; graphs of at most tinyVerts vertices skip the queue and
+// settle by scan-min instead.
 //
 // Every touched distance is journaled, so Revert restores the committed
 // state in O(touched) and a probe/revert cycle allocates nothing in
-// steady state. An optional bounded memo (EnableMemo) answers probes for
-// recently seen deployments — simulated annealing revisits states on
-// reject/propose cycles — from a Zobrist-keyed table without touching
-// the graph at all. AttachSharedMemo adds a second, concurrency-safe
-// lookup tier shared across evaluators solving the same instance.
+// steady state.
 //
 // Not safe for concurrent use: parallel solvers hold one per worker.
 type IncrementalEvaluator struct {
@@ -80,7 +75,6 @@ type IncrementalEvaluator struct {
 	dist []float64
 	par  []int // par[u]: tight parent of post u (a post, or bs)
 	cost float64
-	key  uint64 // Zobrist key of m
 	have bool
 
 	// Intrusive child lists mirroring par: childHead[v] is the first
@@ -94,20 +88,14 @@ type IncrementalEvaluator struct {
 	// rateTotal = sum of rates, maintained for CostDeltaBounded's
 	// partial-settle lower bound.
 	rateTotal float64
-	q         *graph.BucketQueue
-
-	// Efficiency extremes ever observed, for the queue's weight-band
-	// configuration (conservative: monotone over the evaluator's life).
-	effLo float64
-	effHi float64
+	q         *graph.IndexedMinHeap
 
 	// Lazily grown cache of Charging.NetworkEfficiency(m) for m >= 1.
 	effTab []float64
 
 	// Probe bookkeeping.
-	state       int // idle / probed / memoProbed
+	state       int // idle / probed
 	pendingCost float64
-	pendingKey  uint64
 	journal     []distSave
 	effLog      []effSave
 	full        bool // probe recomputed fully; snapshots hold the base
@@ -122,15 +110,6 @@ type IncrementalEvaluator struct {
 	affected   []int
 	ups        []int
 	downs      []int
-
-	// Bounded deployment memo (nil when disabled).
-	memoMask  uint64
-	memoKeys  []uint64
-	memoCosts []float64
-
-	// Cross-cell shared memo (nil when not attached).
-	shared     *SharedMemo
-	sharedSalt uint64
 
 	// Probe cache (nil until EnableProbeCache; see probecache.go).
 	slots      []probeSlot
@@ -167,7 +146,6 @@ type effSave struct {
 const (
 	stateIdle = iota
 	stateProbed
-	stateMemoProbed
 )
 
 // tinyVerts is the vertex count at or below which every probe runs a
@@ -192,9 +170,9 @@ const tinyVerts = 16
 const boundedSlack = 1e-6
 
 // EvalStats counts how an IncrementalEvaluator answered its queries;
-// probes not covered by Repairs/Fallbacks/MemoHits/SharedHits changed no
-// edge weight (e.g. moves past a saturating gain's cap) and were priced
-// from the standing solution directly.
+// probes not covered by Repairs/Fallbacks/BoundedPrunes changed no edge
+// weight (e.g. moves past a saturating gain's cap) and were priced from
+// the standing solution directly.
 type EvalStats struct {
 	// FullEvals counts Cost calls (full Dijkstra over the whole graph).
 	FullEvals int64
@@ -205,10 +183,6 @@ type EvalStats struct {
 	// Fallbacks counts probes that fell back to a full re-run because
 	// the dirty region spanned too much of the graph.
 	Fallbacks int64
-	// MemoHits counts probes answered from the private deployment memo.
-	MemoHits int64
-	// SharedHits counts probes answered from the cross-cell shared memo.
-	SharedHits int64
 	// BoundedPrunes counts CostDeltaBounded probes abandoned early
 	// because a partial-settle lower bound already reached the caller's
 	// limit.
@@ -256,59 +230,15 @@ func NewIncrementalEvaluator(p *Problem) (*IncrementalEvaluator, error) {
 		childPrev: make([]int32, n),
 		rates:     rates,
 		rateTotal: rateTotal,
-		q:         graph.NewBucketQueue(n + 1),
-		effLo:     inf,
-		effHi:     0,
+		q:         graph.NewIndexedMinHeap(n + 1),
 		distSnap:  make([]float64, n+1),
 		parSnap:   make([]int, n),
 		mark:      make([]int64, n),
 	}, nil
 }
 
-// EnableMemo attaches a bounded deployment memo with at least the given
-// number of entries (rounded up to a power of two); entries <= 0 removes
-// it. The memo maps 64-bit Zobrist keys of recently probed deployments
-// to their costs in a direct-mapped table, so revisited probes skip the
-// shortest-path repair entirely.
-func (ev *IncrementalEvaluator) EnableMemo(entries int) {
-	if entries <= 0 {
-		ev.memoKeys, ev.memoCosts, ev.memoMask = nil, nil, 0
-		return
-	}
-	size := 1
-	for size < entries {
-		size <<= 1
-	}
-	ev.memoKeys = make([]uint64, size)
-	ev.memoCosts = make([]float64, size)
-	ev.memoMask = uint64(size - 1)
-}
-
-// AttachSharedMemo connects the evaluator to a cross-cell shared memo:
-// probes check it after the private memo, and every priced deployment is
-// published to it. salt must identify the problem instance (two
-// evaluators may share a memo with the same salt only if they price
-// bit-identical problems), which is what keeps hits exact rather than
-// heuristic. nil detaches.
-func (ev *IncrementalEvaluator) AttachSharedMemo(m *SharedMemo, salt uint64) {
-	ev.shared = m
-	ev.sharedSalt = salt
-}
-
 // Stats returns cumulative query counters.
 func (ev *IncrementalEvaluator) Stats() EvalStats { return ev.stats }
-
-// zkey hashes one (post, count) pair with the splitmix64 finaliser; the
-// deployment key is the XOR over posts, so a move updates it in O(1).
-func zkey(post, count int) uint64 {
-	x := uint64(post)<<32 ^ uint64(uint32(count))
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
 
 // netEff is Charging.NetworkEfficiency through a lazily grown cache:
 // counts repeat constantly across probes and the gain factor is a pure
@@ -338,12 +268,6 @@ func (ev *IncrementalEvaluator) netEff(m int) (float64, error) {
 func (ev *IncrementalEvaluator) reweightPost(i int) {
 	c := ev.c
 	effI := ev.eff[i]
-	if effI < ev.effLo {
-		ev.effLo = effI
-	}
-	if effI > ev.effHi {
-		ev.effHi = effI
-	}
 	ev.rxw[i] = ev.rx / effI
 	for os := c.outOff[i]; os < c.outOff[i+1]; os++ {
 		ev.inTxw[c.outSlot[os]] = c.outTx[os] / effI
@@ -356,29 +280,11 @@ func (ev *IncrementalEvaluator) reweightAll() {
 	c := ev.c
 	ev.rxw[ev.bs] = 0
 	for i := 0; i < ev.n; i++ {
-		effI := ev.eff[i]
-		if effI < ev.effLo {
-			ev.effLo = effI
-		}
-		if effI > ev.effHi {
-			ev.effHi = effI
-		}
-		ev.rxw[i] = ev.rx / effI
+		ev.rxw[i] = ev.rx / ev.eff[i]
 	}
 	for s := range ev.inTxw {
 		ev.inTxw[s] = c.inTx[s] / ev.eff[c.inFrom[s]]
 	}
-}
-
-// configureQueue applies the bucket-queue applicability rule from the
-// conservative weight band [minTx/effHi, (maxTx+rx)/effLo]. Cheap when
-// the band is unchanged; flips the queue to heap mode if the band has
-// grown degenerate.
-func (ev *IncrementalEvaluator) configureQueue() {
-	if ev.effHi <= 0 {
-		return
-	}
-	ev.q.Configure(ev.c.minTx/ev.effHi, (ev.c.maxTx+ev.rx)/ev.effLo)
 }
 
 // setPar reparents post u, keeping the intrusive child lists in sync.
@@ -452,7 +358,6 @@ func (ev *IncrementalEvaluator) Cost(m []int) (float64, error) {
 	if len(m) != ev.n {
 		return 0, fmt.Errorf("model: deployment covers %d posts, want %d", len(m), ev.n)
 	}
-	var key uint64
 	for i, mi := range m {
 		e, err := ev.netEff(mi)
 		if err != nil {
@@ -460,7 +365,6 @@ func (ev *IncrementalEvaluator) Cost(m []int) (float64, error) {
 			return 0, fmt.Errorf("model: post %d: %w", i, err)
 		}
 		ev.eff[i] = e
-		key ^= zkey(i, mi)
 	}
 	copy(ev.m, m)
 	ev.reweightAll()
@@ -470,14 +374,12 @@ func (ev *IncrementalEvaluator) Cost(m []int) (float64, error) {
 		ev.have = false
 		return 0, err
 	}
-	ev.key = key
 	ev.cost = cost
 	ev.have = true
 	ev.journal = ev.journal[:0]
 	ev.effLog = ev.effLog[:0]
 	ev.full = false
 	ev.stats.FullEvals++
-	ev.memoStore(key, cost)
 	ev.invalidateAllSlots() // the cached patches' base is gone
 	return cost, nil
 }
@@ -499,10 +401,10 @@ func (ev *IncrementalEvaluator) CostDelta(moves []Move) (float64, error) {
 // and reports pruned=true, which guarantees the probe's exact cost
 // would have been >= limit; a completed probe behaves exactly like
 // CostDelta. The early exit engages in the scan-min regime (n+1 <=
-// tinyVerts, where the exact searches operate); larger instances and
-// memo-answered probes price exactly and never prune here. Branch and
-// bound calls this only for probes PruneByFloor could not reject, so
-// the probes that reach it are the hard ones.
+// tinyVerts, where the exact searches operate); larger instances price
+// exactly and never prune here. Branch and bound calls this only for
+// probes PruneByFloor could not reject, so the probes that reach it are
+// the hard ones.
 func (ev *IncrementalEvaluator) CostDeltaBounded(moves []Move, limit float64) (float64, bool, error) {
 	return ev.costDeltaLimited(moves, limit)
 }
@@ -531,7 +433,6 @@ func (ev *IncrementalEvaluator) costDeltaLimited(moves []Move, limit float64) (f
 		}
 		ev.m[mv.Post] += mv.Delta
 	}
-	key := ev.key
 	for i := range ev.effLog {
 		rec := &ev.effLog[i]
 		newM := ev.m[rec.post]
@@ -546,27 +447,6 @@ func (ev *IncrementalEvaluator) costDeltaLimited(moves []Move, limit float64) (f
 			return 0, false, fmt.Errorf("model: post %d: %w", rec.post, err)
 		}
 		rec.newEff = e
-		key ^= zkey(rec.post, rec.oldM) ^ zkey(rec.post, newM)
-	}
-	ev.pendingKey = key
-
-	if ev.memoKeys != nil && key != 0 {
-		if idx := key & ev.memoMask; ev.memoKeys[idx] == key {
-			// Deployment seen before: answer from the memo and defer the
-			// shortest-path repair until (and unless) the probe commits.
-			ev.stats.MemoHits++
-			ev.state = stateMemoProbed
-			ev.pendingCost = ev.memoCosts[idx]
-			return ev.pendingCost, false, nil
-		}
-	}
-	if ev.shared != nil && key != 0 {
-		if cost, ok := ev.shared.load(key ^ ev.sharedSalt); ok {
-			ev.stats.SharedHits++
-			ev.state = stateMemoProbed
-			ev.pendingCost = cost
-			return cost, false, nil
-		}
 	}
 
 	if limit < inf && ev.n+1 <= tinyVerts {
@@ -583,7 +463,6 @@ func (ev *IncrementalEvaluator) costDeltaLimited(moves []Move, limit float64) (f
 	}
 	ev.state = stateProbed
 	ev.pendingCost = cost
-	ev.memoStore(key, cost)
 	return cost, false, nil
 }
 
@@ -639,30 +518,17 @@ func (ev *IncrementalEvaluator) boundedRepairAndPrice(limit float64) (float64, b
 	}
 	ev.state = stateProbed
 	ev.pendingCost = cost
-	ev.memoStore(ev.pendingKey, cost)
 	return cost, false, nil
 }
 
 // Commit accepts the last probe as the committed deployment.
 func (ev *IncrementalEvaluator) Commit() error {
-	switch ev.state {
-	case stateProbed:
-	case stateMemoProbed:
-		// The probe was answered from a memo without touching the
-		// graph; materialise the repair now that the move is accepted.
-		cost, err := ev.repairAndPrice()
-		if err != nil {
-			ev.have = false
-			return err
-		}
-		ev.pendingCost = cost
-	default:
+	if ev.state != stateProbed {
 		return errNoProbe
 	}
 	ev.invalidateForCommit()
 	ev.state = stateIdle
 	ev.cost = ev.pendingCost
-	ev.key = ev.pendingKey
 	ev.journal = ev.journal[:0]
 	ev.effLog = ev.effLog[:0]
 	ev.full = false
@@ -672,32 +538,24 @@ func (ev *IncrementalEvaluator) Commit() error {
 // Revert discards the last probe, restoring the committed deployment's
 // state in O(touched).
 func (ev *IncrementalEvaluator) Revert() error {
-	switch ev.state {
-	case stateProbed:
-		if ev.full {
-			copy(ev.dist, ev.distSnap)
-			copy(ev.par, ev.parSnap)
-			ev.syncChildren()
-			ev.full = false
-		} else {
-			ev.restoreJournal()
-		}
-		for i := len(ev.effLog) - 1; i >= 0; i-- {
-			rec := ev.effLog[i]
-			ev.m[rec.post] = rec.oldM
-			ev.eff[rec.post] = rec.oldEff
-			if rec.newEff != rec.oldEff {
-				ev.reweightPost(rec.post)
-			}
-		}
-	case stateMemoProbed:
-		// Only the counts were touched; distances and weights were never
-		// repaired.
-		for i := len(ev.effLog) - 1; i >= 0; i-- {
-			ev.m[ev.effLog[i].post] = ev.effLog[i].oldM
-		}
-	default:
+	if ev.state != stateProbed {
 		return errNoProbe
+	}
+	if ev.full {
+		copy(ev.dist, ev.distSnap)
+		copy(ev.par, ev.parSnap)
+		ev.syncChildren()
+		ev.full = false
+	} else {
+		ev.restoreJournal()
+	}
+	for i := len(ev.effLog) - 1; i >= 0; i-- {
+		rec := ev.effLog[i]
+		ev.m[rec.post] = rec.oldM
+		ev.eff[rec.post] = rec.oldEff
+		if rec.newEff != rec.oldEff {
+			ev.reweightPost(rec.post)
+		}
 	}
 	ev.journal = ev.journal[:0]
 	ev.effLog = ev.effLog[:0]
@@ -773,20 +631,6 @@ func (ev *IncrementalEvaluator) saveDist(v int) {
 	ev.journal = append(ev.journal, distSave{v: int32(v), par: int32(ev.par[v]), dist: ev.dist[v]})
 }
 
-func (ev *IncrementalEvaluator) memoStore(key uint64, cost float64) {
-	if key == 0 {
-		return
-	}
-	if ev.memoKeys != nil {
-		idx := key & ev.memoMask
-		ev.memoKeys[idx] = key
-		ev.memoCosts[idx] = cost
-	}
-	if ev.shared != nil {
-		ev.shared.store(key^ev.sharedSalt, cost)
-	}
-}
-
 // repairAndPrice applies the probe's efficiency changes, repairs the
 // shortest-path solution, and prices the result.
 func (ev *IncrementalEvaluator) repairAndPrice() (float64, error) {
@@ -826,7 +670,6 @@ func (ev *IncrementalEvaluator) repairAndPrice() (float64, error) {
 func (ev *IncrementalEvaluator) repairDist() bool {
 	c := ev.c
 	q := ev.q
-	ev.configureQueue()
 	q.Reset()
 	ev.journal = ev.journal[:0]
 	ev.dirtyEpoch = -1
@@ -905,43 +748,20 @@ func (ev *IncrementalEvaluator) repairDist() bool {
 	// Propagate to fixpoint: standard lazy-deletion Dijkstra over the
 	// seeded frontier, relaxing with the maintained weight components so
 	// repaired values are built by the same operations as a from-scratch
-	// run. The loop is written once per queue mode so every operation
-	// lands on the concrete structure without the mode-dispatch call
-	// (both modes pop in the same (priority, key) order, so the split
-	// cannot change results).
-	if q.Bucketed() {
-		for q.Len() > 0 {
-			v, dv := q.Pop()
-			if dv > ev.dist[v] {
-				continue
-			}
-			rv := ev.rxw[v]
-			for s := c.inOff[v]; s < c.inOff[v+1]; s++ {
-				u := int(c.inFrom[s])
-				if cand := dv + (ev.inTxw[s] + rv); cand < ev.dist[u] {
-					ev.saveDist(u)
-					ev.dist[u] = cand
-					ev.setPar(u, v)
-					q.Push(u, cand)
-				}
-			}
+	// run.
+	for q.Len() > 0 {
+		v, dv := q.Pop()
+		if dv > ev.dist[v] {
+			continue
 		}
-	} else {
-		h := q.Heap()
-		for h.Len() > 0 {
-			v, dv := h.Pop()
-			if dv > ev.dist[v] {
-				continue
-			}
-			rv := ev.rxw[v]
-			for s := c.inOff[v]; s < c.inOff[v+1]; s++ {
-				u := int(c.inFrom[s])
-				if cand := dv + (ev.inTxw[s] + rv); cand < ev.dist[u] {
-					ev.saveDist(u)
-					ev.dist[u] = cand
-					ev.setPar(u, v)
-					h.Push(u, cand)
-				}
+		rv := ev.rxw[v]
+		for s := c.inOff[v]; s < c.inOff[v+1]; s++ {
+			u := int(c.inFrom[s])
+			if cand := dv + (ev.inTxw[s] + rv); cand < ev.dist[u] {
+				ev.saveDist(u)
+				ev.dist[u] = cand
+				ev.setPar(u, v)
+				q.Push(u, cand)
 			}
 		}
 	}
@@ -1013,41 +833,20 @@ func (ev *IncrementalEvaluator) fullDijkstra() {
 	}
 	ev.dist[ev.bs] = 0
 	q := ev.q
-	ev.configureQueue()
 	q.Reset()
 	q.Push(ev.bs, 0)
-	// Specialized per queue mode, like repairDist's propagate loop.
-	if q.Bucketed() {
-		for q.Len() > 0 {
-			v, dv := q.Pop()
-			if dv > ev.dist[v] {
-				continue
-			}
-			rv := ev.rxw[v]
-			for s := c.inOff[v]; s < c.inOff[v+1]; s++ {
-				u := int(c.inFrom[s])
-				if nd := dv + (ev.inTxw[s] + rv); nd < ev.dist[u] {
-					ev.dist[u] = nd
-					ev.par[u] = v
-					q.Push(u, nd)
-				}
-			}
+	for q.Len() > 0 {
+		v, dv := q.Pop()
+		if dv > ev.dist[v] {
+			continue
 		}
-	} else {
-		h := q.Heap()
-		for h.Len() > 0 {
-			v, dv := h.Pop()
-			if dv > ev.dist[v] {
-				continue
-			}
-			rv := ev.rxw[v]
-			for s := c.inOff[v]; s < c.inOff[v+1]; s++ {
-				u := int(c.inFrom[s])
-				if nd := dv + (ev.inTxw[s] + rv); nd < ev.dist[u] {
-					ev.dist[u] = nd
-					ev.par[u] = v
-					h.Push(u, nd)
-				}
+		rv := ev.rxw[v]
+		for s := c.inOff[v]; s < c.inOff[v+1]; s++ {
+			u := int(c.inFrom[s])
+			if nd := dv + (ev.inTxw[s] + rv); nd < ev.dist[u] {
+				ev.dist[u] = nd
+				ev.par[u] = v
+				q.Push(u, nd)
 			}
 		}
 	}
@@ -1057,9 +856,8 @@ func (ev *IncrementalEvaluator) fullDijkstra() {
 // tinyDijkstra re-settles every vertex under the current efficiencies
 // by scan-min extraction: the unsettled minimum is found by a linear
 // scan over a settled bitmask (see tinyVerts). Settle order matches the
-// queue modes on ties (lowest vertex index first), and the relaxation
-// is the same expression, so distances are bit-identical to the queue
-// paths.
+// heap on ties (lowest vertex index first), and the relaxation is the
+// same expression, so distances are bit-identical to the heap path.
 //
 // A finite limit arms the bounded-probe early exit: the walk maintains
 // settledSum — the deployment's overhead plus the exact cost terms of

@@ -50,7 +50,7 @@ func TestIncrementalEvaluatorDifferential(t *testing.T) {
 		"saturating": {EtaSingle: 1, Gain: charging.Saturating(3)},
 	}
 	for name, cm := range gains {
-		for _, variant := range []string{"plain", "weighted", "memo"} {
+		for _, variant := range []string{"plain", "weighted"} {
 			t.Run(name+"/"+variant, func(t *testing.T) {
 				const n, nodes = 30, 90
 				p := diffProblem(t, 7, n, nodes, cm)
@@ -76,9 +76,6 @@ func TestIncrementalEvaluatorDifferential(t *testing.T) {
 				inc, err := NewIncrementalEvaluator(p)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if variant == "memo" {
-					inc.EnableMemo(64) // tiny, to exercise collisions/evictions
 				}
 
 				rng := rand.New(rand.NewSource(42))
@@ -162,9 +159,6 @@ func TestIncrementalEvaluatorDifferential(t *testing.T) {
 				if st.Probes == 0 || st.Repairs == 0 {
 					t.Errorf("stats show no incremental work: %+v", st)
 				}
-				if variant == "memo" && st.MemoHits == 0 {
-					t.Errorf("memo enabled but never hit: %+v", st)
-				}
 			})
 		}
 	}
@@ -244,9 +238,6 @@ func FuzzIncrementalEvaluator(f *testing.F) {
 		inc, err := NewIncrementalEvaluator(p)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if seed%2 == 0 {
-			inc.EnableMemo(32)
 		}
 
 		rng := rand.New(rand.NewSource(seed))

@@ -69,35 +69,6 @@ type SeedHeuristic interface {
 	SeedSolution(ctx context.Context) (vec []int, evaluations int64, err error)
 }
 
-// sharedMemoAttacher is the optional evaluator capability behind
-// AttachEvaluatorSharedMemo (IncrementalEvaluator implements it).
-type sharedMemoAttacher interface {
-	AttachSharedMemoFromContext(ctx context.Context)
-}
-
-// memoEnabler is the optional evaluator capability behind
-// EnableEvaluatorMemo (IncrementalEvaluator implements it).
-type memoEnabler interface {
-	EnableMemo(entries int)
-}
-
-// AttachEvaluatorSharedMemo attaches the context's shared cost memo to ev
-// when ev supports one (IncrementalEvaluator does); a no-op otherwise, so
-// generic solver loops can call it unconditionally.
-func AttachEvaluatorSharedMemo(ctx context.Context, ev Evaluator) {
-	if a, ok := ev.(sharedMemoAttacher); ok {
-		a.AttachSharedMemoFromContext(ctx)
-	}
-}
-
-// EnableEvaluatorMemo enables ev's private bounded probe memo when ev
-// supports one (IncrementalEvaluator does); a no-op otherwise.
-func EnableEvaluatorMemo(ev Evaluator, entries int) {
-	if m, ok := ev.(memoEnabler); ok {
-		m.EnableMemo(entries)
-	}
-}
-
 // EncodeCounts renders a count vector as "a,b,c,..." — the shared
 // EncodeSolution implementation for count-vector problem families.
 func EncodeCounts(m []int) string {

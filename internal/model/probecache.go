@@ -93,9 +93,8 @@ func (ev *IncrementalEvaluator) maskNbhd(mask []uint64, v int) {
 
 // CacheProbe snapshots the pending probe under slot id. Must be called
 // after CostDelta and before the Revert/Commit that resolves it; the
-// probe itself is unaffected. Probes that recomputed fully or were
-// answered from a memo (no journaled patch either way) just clear the
-// slot.
+// probe itself is unaffected. Probes that recomputed fully (no
+// journaled patch) just clear the slot.
 func (ev *IncrementalEvaluator) CacheProbe(id int) {
 	if ev.slots == nil || id < 0 || id >= len(ev.slots) {
 		return
@@ -186,7 +185,6 @@ func (ev *IncrementalEvaluator) CommitCached(id int) (float64, bool) {
 	for i := range dirty {
 		dirty[i] = 0
 	}
-	key := ev.key
 	for i := range s.effs {
 		rec := &s.effs[i]
 		ev.m[rec.post] = rec.newM
@@ -197,7 +195,6 @@ func (ev *IncrementalEvaluator) CommitCached(id int) (float64, bool) {
 		if rec.newM != rec.oldM || rec.newEff != rec.oldEff {
 			ev.maskNbhd(dirty, rec.post)
 		}
-		key ^= zkey(rec.post, rec.oldM) ^ zkey(rec.post, rec.newM)
 	}
 	for k := range s.patch {
 		p := &s.patch[k]
@@ -214,8 +211,6 @@ func (ev *IncrementalEvaluator) CommitCached(id int) (float64, bool) {
 		return 0, false
 	}
 	ev.cost = cost
-	ev.key = key
-	ev.memoStore(key, cost)
 	ev.stats.CachePromotes++
 	ev.invalidateSlots(dirty)
 	return cost, true

@@ -34,8 +34,7 @@ type AnnealOptions struct {
 // solution is the best state ever visited, so Anneal never returns a
 // worse solution than its seed. An extension beyond the paper's
 // heuristics, sharing their exact inner evaluation (each proposal is a
-// two-move CostDelta against the walk's committed state, memoised for
-// the revisits rejected proposals create).
+// two-move CostDelta against the walk's committed state).
 func Anneal(p *model.Problem, opts AnnealOptions) (*Result, error) {
 	return AnnealCtx(context.Background(), p, opts)
 }
@@ -58,7 +57,7 @@ func AnnealCtx(ctx context.Context, p *model.Problem, opts AnnealOptions) (*Resu
 	if err := start.Deploy.Validate(p); err != nil {
 		return nil, fmt.Errorf("solver: invalid anneal seed: %w", err)
 	}
-	ev, err := newAttachedEvaluator(ctx, p)
+	ev, err := p.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +81,7 @@ func AnnealInstance(ctx context.Context, inst model.Instance, opts AnnealOptions
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	ev, err := newAttachedEvaluator(ctx, inst)
+	ev, err := inst.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +125,6 @@ func annealWalk(ctx context.Context, inst model.Instance, ev model.Evaluator, cu
 		return nil, 0, fmt.Errorf("solver: anneal needs final temperature (%g) below initial (%g)", finalFrac, initFrac)
 	}
 
-	// The walk revisits states whenever a proposal is rejected and later
-	// re-proposed; a small memo answers those probes without repairing.
-	model.EnableEvaluatorMemo(ev, 1<<12)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	ub := upperBounds(inst)
 	lb := make([]int, n)

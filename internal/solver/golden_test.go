@@ -1,8 +1,10 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"testing"
+
 	"wrsn/internal/model"
 )
 
@@ -51,6 +53,28 @@ func TestGoldenCosts(t *testing.T) {
 			solve: goldenSolve(func(p *problemT) (*Result, error) { return IDB(p, 1) }),
 			want:  2326.3769531250000,
 		},
+		// Anneal at the ext-portfolio shape (350 m, 40 posts, 200 nodes)
+		// and on a placement instance.
+		{
+			name: "anneal portfolio 1", seed: 1, side: 350, posts: 40, nodes: 200,
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return Anneal(p, AnnealOptions{Seed: 1}) }),
+			want:  2987.5214435829153,
+		},
+		{
+			name: "anneal portfolio 2", seed: 2, side: 350, posts: 40, nodes: 200,
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return Anneal(p, AnnealOptions{Seed: 2}) }),
+			want:  3663.9038353076148,
+		},
+		{
+			name: "anneal portfolio 3", seed: 3, side: 350, posts: 40, nodes: 200,
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return Anneal(p, AnnealOptions{Seed: 3}) }),
+			want:  2957.6986506842313,
+		},
+		{
+			name: "anneal placement", seed: 1,
+			solve: goldenPlacementAnneal,
+			want:  6.0687745109747,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,4 +99,15 @@ func goldenSolve(solve func(*problemT) (*Result, error)) func(*testing.T, int64,
 		}
 		return res.Cost
 	}
+}
+
+// goldenPlacementAnneal anneals the placement differential instance of
+// the given seed through the generic instance path.
+func goldenPlacementAnneal(t *testing.T, seed int64, _ float64, _, _ int) float64 {
+	t.Helper()
+	res, err := AnnealInstance(context.Background(), testPlacementInstance(t, seed), AnnealOptions{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Cost
 }

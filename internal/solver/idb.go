@@ -38,7 +38,7 @@ func IDBCtx(ctx context.Context, p *model.Problem, delta int) (*Result, error) {
 	if delta < 1 {
 		return nil, fmt.Errorf("solver: IDB delta must be >= 1, got %d", delta)
 	}
-	ev, err := newAttachedEvaluator(ctx, p)
+	ev, err := p.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func IDBInstance(ctx context.Context, inst model.Instance, delta int) (*Result, 
 	if delta < 1 {
 		return nil, fmt.Errorf("solver: IDB delta must be >= 1, got %d", delta)
 	}
-	ev, err := newAttachedEvaluator(ctx, inst)
+	ev, err := inst.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}

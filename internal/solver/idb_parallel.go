@@ -51,7 +51,7 @@ func IDBWithOptionsCtx(ctx context.Context, p *model.Problem, opts IDBOptions) (
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	evaluators, err := newAttachedEvaluators(ctx, p, workers)
+	evaluators, err := newEvaluators(p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func IDBWithOptionsInstance(ctx context.Context, inst model.Instance, opts IDBOp
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	evaluators, err := newAttachedEvaluators(ctx, inst, workers)
+	evaluators, err := newEvaluators(inst, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -98,12 +98,11 @@ func IDBWithOptionsInstance(ctx context.Context, inst model.Instance, opts IDBOp
 	return finishInstance(inst, cur, evaluations)
 }
 
-// newAttachedEvaluators builds one production evaluator per worker, each
-// with the context's shared memo attached.
-func newAttachedEvaluators(ctx context.Context, inst model.Instance, workers int) ([]model.Evaluator, error) {
+// newEvaluators builds one production evaluator per worker.
+func newEvaluators(inst model.Instance, workers int) ([]model.Evaluator, error) {
 	evaluators := make([]model.Evaluator, workers)
 	for i := range evaluators {
-		ev, err := newAttachedEvaluator(ctx, inst)
+		ev, err := inst.NewEvaluator()
 		if err != nil {
 			return nil, err
 		}

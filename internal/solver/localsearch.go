@@ -52,7 +52,7 @@ func LocalSearchCtx(ctx context.Context, p *model.Problem, opts LocalSearchOptio
 	if err := start.Deploy.Validate(p); err != nil {
 		return nil, fmt.Errorf("solver: invalid local-search seed: %w", err)
 	}
-	ev, err := newAttachedEvaluator(ctx, p)
+	ev, err := p.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func LocalSearchInstance(ctx context.Context, inst model.Instance, opts LocalSea
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	ev, err := newAttachedEvaluator(ctx, inst)
+	ev, err := inst.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}

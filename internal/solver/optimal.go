@@ -91,7 +91,6 @@ func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Re
 	if err != nil {
 		return nil, err
 	}
-	model.AttachEvaluatorSharedMemo(ctx, inc)
 	ev := &deltaEvaluator{ev: inc, prev: make([]int, n)}
 
 	incumbent := opts.Incumbent

@@ -12,8 +12,8 @@ import (
 )
 
 // plainInstance hides the production evaluator's optional capabilities
-// (ProbeCache, BoundedProber, memo attachment) behind the bare 4-method
-// protocol, forcing the solvers onto their uncached paths. Comparing a
+// (ProbeCache, BoundedProber) behind the bare 4-method protocol,
+// forcing the solvers onto their uncached paths. Comparing a
 // normal run against a plainInstance run pins the dirty-candidate
 // pruning contract: bit-identical costs and solutions with no more —
 // and on cache-friendly inputs strictly fewer — evaluations.

@@ -147,17 +147,6 @@ func finishInstance(inst model.Instance, cur []int, evaluations int64) (*Result,
 	}, nil
 }
 
-// newAttachedEvaluator builds inst's production evaluator with the
-// context's shared memo (when any) attached.
-func newAttachedEvaluator(ctx context.Context, inst model.Instance) (model.Evaluator, error) {
-	ev, err := inst.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	model.AttachEvaluatorSharedMemo(ctx, ev)
-	return ev, nil
-}
-
 // deltaEvaluator adapts the move-based model.Evaluator protocol to
 // solvers that probe whole vectors (branch-and-bound bounds, exhaustive
 // enumeration): each query is diffed against the previously evaluated
@@ -172,7 +161,7 @@ type deltaEvaluator struct {
 }
 
 func newDeltaEvaluator(ctx context.Context, inst model.Instance) (*deltaEvaluator, error) {
-	ev, err := newAttachedEvaluator(ctx, inst)
+	ev, err := inst.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
