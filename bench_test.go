@@ -7,6 +7,7 @@ package wrsn
 // algorithmic hot paths. Full paper-scale runs: cmd/wrsn-experiments.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -183,7 +184,7 @@ func BenchmarkSolveBasicRFH(b *testing.B) {
 	p := benchProblem(b, 1, 500, 100, 600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.BasicRFH(p); err != nil {
+		if _, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,7 +196,7 @@ func BenchmarkSolveIterativeRFH(b *testing.B) {
 	p := benchProblem(b, 1, 500, 100, 600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.IterativeRFH(p); err != nil {
+		if _, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: solver.DefaultRFHIterations}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,7 +209,7 @@ func BenchmarkSolveIDB(b *testing.B) {
 	p := benchProblem(b, 1, 500, 100, 600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.IDB(p, 1); err != nil {
+		if _, err := solver.IDB(context.Background(), p, solver.IDBOptions{Delta: 1, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,7 +221,7 @@ func BenchmarkSolveOptimal(b *testing.B) {
 	p := benchProblem(b, 1, 200, 10, 36)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Optimal(p, solver.OptimalOptions{}); err != nil {
+		if _, err := solver.Optimal(context.Background(), p, solver.OptimalOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,7 +267,7 @@ func BenchmarkCostEvaluator(b *testing.B) {
 // mid-size network with an active charger.
 func BenchmarkSimulator(b *testing.B) {
 	p := benchProblem(b, 3, 300, 25, 100)
-	res, err := solver.IterativeRFH(p)
+	res, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func BenchmarkAblationSiblingMerge(b *testing.B) {
 	b.Run("with-merge", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			res, err := solver.RFH(p, solver.RFHOptions{Iterations: 7})
+			res, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: 7})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -304,7 +305,7 @@ func BenchmarkAblationSiblingMerge(b *testing.B) {
 	b.Run("without-merge", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			res, err := solver.RFH(p, solver.RFHOptions{Iterations: 7, DisableSiblingMerge: true})
+			res, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: 7, DisableSiblingMerge: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -323,7 +324,7 @@ func BenchmarkAblationIDBDelta(b *testing.B) {
 		b.Run("delta-"+string(rune('0'+delta)), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := solver.IDB(p, delta)
+				res, err := solver.IDB(context.Background(), p, solver.IDBOptions{Delta: delta, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -377,13 +378,13 @@ func BenchmarkExtChargerPolicy(b *testing.B) {
 // mid-size instance, seeded by iterative RFH.
 func BenchmarkSolveLocalSearch(b *testing.B) {
 	p := benchProblem(b, 1, 300, 30, 120)
-	seedResult, err := solver.IterativeRFH(p)
+	seedResult, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.LocalSearch(p, solver.LocalSearchOptions{Start: seedResult}); err != nil {
+		if _, err := solver.LocalSearch(context.Background(), p, solver.LocalSearchOptions{Start: seedResult}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -394,13 +395,13 @@ func BenchmarkSolveLocalSearch(b *testing.B) {
 // iterative RFH outside the timer so only the walk's probes are timed.
 func BenchmarkSolveAnneal(b *testing.B) {
 	p := benchProblem(b, 1, 350, 40, 200)
-	seedResult, err := solver.IterativeRFH(p)
+	seedResult, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Anneal(p, solver.AnnealOptions{Start: seedResult, Seed: 1}); err != nil {
+		if _, err := solver.Anneal(context.Background(), p, solver.AnnealOptions{Start: seedResult, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -412,7 +413,7 @@ func BenchmarkSolveIDBParallel(b *testing.B) {
 	p := benchProblem(b, 1, 500, 100, 600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.IDBWithOptions(p, solver.IDBOptions{Delta: 1}); err != nil {
+		if _, err := solver.IDB(context.Background(), p, solver.IDBOptions{Delta: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -426,7 +427,7 @@ func BenchmarkAblationPhase1Weights(b *testing.B) {
 	b.Run("tx-only", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			res, err := solver.RFH(p, solver.RFHOptions{Iterations: 7})
+			res, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: 7})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -437,7 +438,7 @@ func BenchmarkAblationPhase1Weights(b *testing.B) {
 	b.Run("tx-plus-rx", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			res, err := solver.RFH(p, solver.RFHOptions{Iterations: 7, IncludeRxInPhase1: true})
+			res, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: 7, IncludeRxInPhase1: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -4,25 +4,36 @@
 //
 //	wrsn-plan gen -side 500 -posts 100 -nodes 600 -seed 1 > problem.json
 //
-// Solve it (algorithms: rfh, basic-rfh, idb, optimal, local-search):
+// Solve it with any registered solver that accepts the deployment
+// problem. The names are the engine registry's, the same ones wrsnd and
+// wrsn-experiments use (wrsn-experiments -list-solvers prints them):
+// rfh is basic RFH, rfh-iterative (the default) runs seven rounds.
 //
-//	wrsn-plan solve -algo idb -delta 1 < problem.json > solution.json
+//	wrsn-plan solve -algo idb < problem.json > solution.json
 //
 // Inspect a solution against its problem:
 //
 //	wrsn-plan check -problem problem.json -map < solution.json
+//
+// Compare every deployment solver on one problem:
+//
+//	wrsn-plan compare -optimal < problem.json
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"wrsn"
+	"wrsn/internal/engine"
 	"wrsn/internal/model"
 	"wrsn/internal/render"
 	"wrsn/internal/texttable"
@@ -94,37 +105,21 @@ func runGen(args []string, stdout io.Writer) error {
 func runSolve(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	var (
-		algo       = fs.String("algo", "rfh", "algorithm: rfh, basic-rfh, idb, optimal, local-search, anneal or auto")
-		delta      = fs.Int("delta", 1, "IDB per-round increment")
-		iterations = fs.Int("iterations", 7, "RFH iterations")
-		summary    = fs.Bool("summary", false, "print a human-readable summary to stderr")
+		algo    = fs.String("algo", "rfh-iterative", "solver: "+strings.Join(deploymentSolvers(), ", "))
+		summary = fs.Bool("summary", false, "print a human-readable summary to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	solve, ok := engine.Solver(*algo)
+	if !ok {
+		return fmt.Errorf("unknown algorithm %q (want one of %s)", *algo, strings.Join(deploymentSolvers(), ", "))
 	}
 	p, err := model.ReadProblem(stdin)
 	if err != nil {
 		return err
 	}
-	var res *wrsn.Result
-	switch *algo {
-	case "rfh":
-		res, err = wrsn.SolveRFH(p, wrsn.RFHOptions{Iterations: *iterations})
-	case "basic-rfh":
-		res, err = wrsn.SolveBasicRFH(p)
-	case "idb":
-		res, err = wrsn.SolveIDB(p, *delta)
-	case "optimal":
-		res, err = wrsn.SolveOptimal(p, wrsn.OptimalOptions{})
-	case "local-search":
-		res, err = wrsn.SolveLocalSearch(p, wrsn.LocalSearchOptions{})
-	case "anneal":
-		res, err = wrsn.SolveAnneal(p, wrsn.AnnealOptions{Seed: 1})
-	case "auto":
-		res, err = wrsn.Solve(p)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
-	}
+	res, err := solve(context.Background(), p)
 	if err != nil {
 		return err
 	}
@@ -132,6 +127,18 @@ func runSolve(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		printSummary(stderr, p, &res.Solution)
 	}
 	return model.WriteSolution(stdout, &res.Solution)
+}
+
+// deploymentSolvers returns the sorted registry names whose solvers
+// accept the deployment problem.
+func deploymentSolvers() []string {
+	var names []string
+	for _, info := range engine.Infos() {
+		if slices.Contains(info.Kinds, model.KindDeployment) {
+			names = append(names, info.Name)
+		}
+	}
+	return names
 }
 
 func runCheck(args []string, stdin io.Reader, stdout io.Writer) error {
@@ -245,8 +252,9 @@ func printSummary(w io.Writer, p *wrsn.Problem, sol *wrsn.Solution) {
 	fmt.Fprintln(w, t.String())
 }
 
-// runCompare solves one problem with the whole portfolio and prints a
-// quality/runtime comparison plus the winner's diagnostic report.
+// runCompare solves one problem with every registered deployment
+// solver and prints a quality/runtime comparison plus the winner's
+// diagnostic report.
 func runCompare(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	withOptimal := fs.Bool("optimal", false, "include the exact solver (small instances only)")
@@ -257,21 +265,11 @@ func runCompare(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	type entry struct {
-		name string
-		run  func() (*wrsn.Result, error)
-	}
-	entries := []entry{
-		{"basic-rfh", func() (*wrsn.Result, error) { return wrsn.SolveBasicRFH(p) }},
-		{"rfh", func() (*wrsn.Result, error) { return wrsn.SolveIterativeRFH(p) }},
-		{"idb", func() (*wrsn.Result, error) { return wrsn.SolveIDB(p, 1) }},
-		{"local-search", func() (*wrsn.Result, error) { return wrsn.SolveLocalSearch(p, wrsn.LocalSearchOptions{}) }},
-		{"anneal", func() (*wrsn.Result, error) { return wrsn.SolveAnneal(p, wrsn.AnnealOptions{Seed: 1}) }},
-	}
-	if *withOptimal {
-		entries = append(entries, entry{"optimal", func() (*wrsn.Result, error) {
-			return wrsn.SolveOptimal(p, wrsn.OptimalOptions{})
-		}})
+	var names []string
+	for _, name := range deploymentSolvers() {
+		if name != "optimal" || *withOptimal {
+			names = append(names, name)
+		}
 	}
 
 	t := texttable.New(
@@ -284,14 +282,14 @@ func runCompare(args []string, stdin io.Reader, stdout io.Writer) error {
 		res     *wrsn.Result
 		elapsed time.Duration
 	}
-	rows := make([]row, 0, len(entries))
-	for _, e := range entries {
+	rows := make([]row, 0, len(names))
+	for _, name := range names {
 		start := time.Now()
-		res, err := e.run()
+		res, err := engine.MustSolver(name)(context.Background(), p)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		rows = append(rows, row{e.name, res, time.Since(start)})
+		rows = append(rows, row{name, res, time.Since(start)})
 		if res.Cost < best {
 			best = res.Cost
 			bestRes = res

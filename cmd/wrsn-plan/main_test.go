@@ -2,10 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"wrsn/internal/engine"
+	"wrsn/internal/model"
+	"wrsn/internal/solver"
 )
 
 // gen produces a small connected problem JSON for the other subcommands.
@@ -26,6 +32,22 @@ func TestGenProducesValidProblem(t *testing.T) {
 	}
 }
 
+// registryDeploymentNames lists the engine registry's deployment-capable
+// solver names: exactly the names wrsn-plan solve must accept.
+func registryDeploymentNames(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	for _, info := range engine.Infos() {
+		if slices.Contains(info.Kinds, model.KindDeployment) {
+			names = append(names, info.Name)
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("registry lists no deployment solvers")
+	}
+	return names
+}
+
 func TestSolveAndCheckRoundTrip(t *testing.T) {
 	problem := gen(t)
 	problemPath := filepath.Join(t.TempDir(), "problem.json")
@@ -33,7 +55,7 @@ func TestSolveAndCheckRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, algo := range []string{"rfh", "basic-rfh", "idb", "local-search", "anneal", "auto", "optimal"} {
+	for _, algo := range registryDeploymentNames(t) {
 		t.Run(algo, func(t *testing.T) {
 			var solution, summary bytes.Buffer
 			err := run([]string{"solve", "-algo", algo, "-summary"},
@@ -68,6 +90,45 @@ func TestSolveRejectsUnknownAlgorithm(t *testing.T) {
 		strings.NewReader(problem), &bytes.Buffer{}, &bytes.Buffer{})
 	if err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// TestSolveAcceptsRegistryNames pins wrsn-plan to the engine registry:
+// a registered name that cannot solve deployment fails with the typed
+// rejection, an unknown name's error lists every valid name, and the
+// default algorithm is the registry's rfh-iterative.
+func TestSolveAcceptsRegistryNames(t *testing.T) {
+	problem := gen(t)
+	solve := func(args ...string) ([]byte, error) {
+		var out bytes.Buffer
+		err := run(append([]string{"solve"}, args...), strings.NewReader(problem), &out, &bytes.Buffer{})
+		return out.Bytes(), err
+	}
+
+	if _, err := solve("-algo", "greedy"); !errors.Is(err, solver.ErrUnsupportedInstance) {
+		t.Errorf("placement-only greedy on a deployment problem: want ErrUnsupportedInstance, got %v", err)
+	}
+
+	_, err := solve("-algo", "quantum")
+	if err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	for _, name := range registryDeploymentNames(t) {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-name error does not list %q: %v", name, err)
+		}
+	}
+
+	byDefault, err := solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := solve("-algo", "rfh-iterative")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(byDefault, explicit) {
+		t.Errorf("default solve differs from -algo rfh-iterative:\n%s\nvs\n%s", byDefault, explicit)
 	}
 }
 
@@ -115,7 +176,8 @@ func TestCompareSubcommand(t *testing.T) {
 	s := out.String()
 	for _, frag := range []string{
 		"solver comparison: 8 posts, 24 nodes",
-		"basic-rfh", "idb", "local-search", "anneal", "optimal",
+		"rfh ", "rfh-iterative", "idb ", "idb-parallel", "idb-local-search",
+		"local-search", "anneal", "auto", "optimal",
 		"vs best (%)",
 		"best solution:",
 		"bottleneck:",
@@ -123,6 +185,9 @@ func TestCompareSubcommand(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Errorf("compare output missing %q:\n%s", frag, s)
 		}
+	}
+	if strings.Contains(s, "basic-rfh") {
+		t.Errorf("compare still lists the retired basic-rfh name:\n%s", s)
 	}
 	// With -optimal included, no solver may sit below 0% vs best.
 	if strings.Contains(s, "-0.0") {

@@ -5,7 +5,7 @@
 // Typical pipeline:
 //
 //	wrsn-plan gen -posts 25 -nodes 100 -side 300 > problem.json
-//	wrsn-plan solve -algo rfh < problem.json > solution.json
+//	wrsn-plan solve -algo rfh-iterative < problem.json > solution.json
 //	wrsn-sim -problem problem.json -rounds 20000 -policy tour \
 //	         -trace trace.csv < solution.json
 //

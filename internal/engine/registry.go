@@ -112,7 +112,7 @@ func Infos() []SolverInfo {
 // increment δ (sequential evaluation, the paper's reference variant).
 func IDBSolver(delta int) SolveFunc {
 	return func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.IDBInstance(ctx, inst, delta)
+		return solver.IDB(ctx, inst, solver.IDBOptions{Delta: delta, Workers: 1})
 	}
 }
 
@@ -132,35 +132,31 @@ var (
 // heuristic (only placement provides one).
 func init() {
 	Register("rfh", deploymentOnly, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.RFHInstance(ctx, inst, solver.RFHOptions{Iterations: 1})
+		return solver.RFH(ctx, inst, solver.RFHOptions{Iterations: 1})
 	})
 	Register("rfh-iterative", deploymentOnly, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.RFHInstance(ctx, inst, solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
+		return solver.RFH(ctx, inst, solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
 	})
 	Register("idb", allKinds, IDBSolver(1))
 	Register("idb-parallel", allKinds, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.IDBWithOptionsInstance(ctx, inst, solver.IDBOptions{Delta: 1})
+		return solver.IDB(ctx, inst, solver.IDBOptions{Delta: 1})
 	})
 	Register("local-search", allKinds, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.LocalSearchInstance(ctx, inst, solver.LocalSearchOptions{})
+		return solver.LocalSearch(ctx, inst, solver.LocalSearchOptions{})
 	})
 	Register("idb-local-search", allKinds, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		seed, err := solver.IDBInstance(ctx, inst, 1)
+		seed, err := IDBSolver(1)(ctx, inst)
 		if err != nil {
 			return nil, err
 		}
-		return solver.LocalSearchInstance(ctx, inst, solver.LocalSearchOptions{Start: seed})
+		return solver.LocalSearch(ctx, inst, solver.LocalSearchOptions{Start: seed})
 	})
 	Register("anneal", allKinds, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.AnnealInstance(ctx, inst, solver.AnnealOptions{Seed: 1})
+		return solver.Anneal(ctx, inst, solver.AnnealOptions{Seed: 1})
 	})
-	Register("auto", allKinds, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.AutoInstance(ctx, inst)
-	})
+	Register("auto", allKinds, solver.Auto)
 	Register("optimal", deploymentOnly, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.OptimalInstance(ctx, inst, solver.OptimalOptions{})
+		return solver.Optimal(ctx, inst, solver.OptimalOptions{})
 	})
-	Register("greedy", placementOnly, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.GreedyInstance(ctx, inst)
-	})
+	Register("greedy", placementOnly, solver.Greedy)
 }

@@ -131,7 +131,7 @@ func ExtOverhead(opts Options) (*Figure, error) {
 			{Label: "max nodes at one post", Unit: "nodes"},
 		},
 		Run: func(ctx context.Context, inst *engine.Instance) (engine.CellResult, error) {
-			res, err := solver.RFHCtx(ctx, inst.Problem(), solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
+			res, err := solver.RFH(ctx, inst.Problem(), solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
 			if err != nil {
 				return engine.CellResult{}, err
 			}
@@ -183,7 +183,7 @@ func ExtChargerPolicy(opts Options) (*Figure, error) {
 			{Label: "meters per completed charge", Unit: "m"},
 		},
 		Run: func(ctx context.Context, inst *engine.Instance) (engine.CellResult, error) {
-			res, err := solver.RFHCtx(ctx, inst.Problem(), solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
+			res, err := solver.RFH(ctx, inst.Problem(), solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
 			if err != nil {
 				return engine.CellResult{}, err
 			}

@@ -60,7 +60,7 @@ func Fig6(opts Options) (*Figure, error) {
 		Label:   "RFH convergence",
 		Outputs: []engine.SeriesSpec{{Vector: true}},
 		Run: func(ctx context.Context, inst *engine.Instance) (engine.CellResult, error) {
-			res, err := solver.RFHCtx(ctx, inst.Problem(), solver.RFHOptions{Iterations: Fig6Iterations})
+			res, err := solver.RFH(ctx, inst.Problem(), solver.RFHOptions{Iterations: Fig6Iterations})
 			if err != nil {
 				return engine.CellResult{}, err
 			}

@@ -63,7 +63,7 @@ func ExtSimValidation(opts Options) (*Figure, error) {
 			{Label: "deviation", Unit: "%"},
 		},
 		Run: func(ctx context.Context, inst *engine.Instance) (engine.CellResult, error) {
-			res, err := solver.RFHCtx(ctx, inst.Problem(), solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
+			res, err := solver.RFH(ctx, inst.Problem(), solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
 			if err != nil {
 				return engine.CellResult{}, err
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,9 +29,9 @@ func testNetwork(t testing.TB, seed int64, side float64, n, m int) (*model.Probl
 		if p.Validate() != nil {
 			continue
 		}
-		res, err := solver.IterativeRFH(p)
+		res, err := solver.RFH(context.Background(), p, solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
 		if err != nil {
-			t.Fatalf("IterativeRFH: %v", err)
+			t.Fatalf("iterative RFH: %v", err)
 		}
 		return p, res.Solution
 	}

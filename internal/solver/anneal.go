@@ -11,7 +11,7 @@ import (
 
 // AnnealOptions configures the simulated-annealing solver.
 type AnnealOptions struct {
-	// Start seeds the walk; nil runs IterativeRFH first.
+	// Start seeds the walk; nil seeds as for LocalSearchOptions.Start.
 	Start *Result
 	// Seed drives the proposal/acceptance randomness; runs are
 	// deterministic per seed.
@@ -28,64 +28,28 @@ type AnnealOptions struct {
 	FinalTempFrac float64
 }
 
-// Anneal refines a deployment by simulated annealing over single-node
+// Anneal refines a solution by simulated annealing over single-unit
 // moves: unlike LocalSearch's strict hill climbing it temporarily accepts
 // worsening moves, so it can escape 1-move-optimal basins. The returned
 // solution is the best state ever visited, so Anneal never returns a
 // worse solution than its seed. An extension beyond the paper's
 // heuristics, sharing their exact inner evaluation (each proposal is a
-// two-move CostDelta against the walk's committed state).
-func Anneal(p *model.Problem, opts AnnealOptions) (*Result, error) {
-	return AnnealCtx(context.Background(), p, opts)
-}
-
-// AnnealCtx is Anneal with cancellation: the context is checked every
-// ctxCheckStride proposals (and flows into the RFH seed run), so a
-// cancelled walk returns ctx.Err() within a handful of Dijkstra runs.
-func AnnealCtx(ctx context.Context, p *model.Problem, opts AnnealOptions) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	start := opts.Start
-	if start == nil {
-		s, err := RFHCtx(ctx, p, RFHOptions{Iterations: DefaultRFHIterations})
-		if err != nil {
-			return nil, fmt.Errorf("solver: anneal could not build a seed: %w", err)
-		}
-		start = s
-	}
-	if err := start.Deploy.Validate(p); err != nil {
-		return nil, fmt.Errorf("solver: invalid anneal seed: %w", err)
-	}
-	ev, err := p.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	best, evaluations, err := annealWalk(ctx, p, ev, []int(start.Deploy.Clone()), opts)
-	if err != nil {
-		return nil, err
-	}
-	return finishDeployment(p, ev, best, evaluations)
-}
-
-// AnnealInstance runs the annealing walk over any problem instance.
-// Deployment instances take the exact deployment path (RFH seeding,
-// single-node transfer proposals, routing tree); other kinds seed from
-// the instance's own heuristic when it provides one and walk a proposal
-// mix of unit transfers plus — when the instance has no fixed solution
-// total — unit additions and removals.
-func AnnealInstance(ctx context.Context, inst model.Instance, opts AnnealOptions) (*Result, error) {
-	if p, ok := inst.(*model.Problem); ok {
-		return AnnealCtx(ctx, p, opts)
-	}
+// two-move CostDelta against the walk's committed state). Deployment
+// proposals are single-node transfers; instances without a fixed
+// solution total also propose unit additions and removals.
+//
+// The context is checked every ctxCheckStride proposals (and flows into
+// the seed run), so a cancelled walk returns ctx.Err() within a handful
+// of Dijkstra runs.
+func Anneal(ctx context.Context, inst model.Instance, opts AnnealOptions) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	ev, err := inst.NewEvaluator()
+	cur, seedEvals, err := seedVector(ctx, inst, opts.Start)
 	if err != nil {
 		return nil, err
 	}
-	cur, seedEvals, err := instanceSeed(ctx, inst, opts.Start)
+	ev, err := inst.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -93,11 +57,7 @@ func AnnealInstance(ctx context.Context, inst model.Instance, opts AnnealOptions
 	if err != nil {
 		return nil, err
 	}
-	res, err := finishInstance(inst, best, evaluations+seedEvals)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return finish(inst, ev, best, evaluations+seedEvals)
 }
 
 // annealWalk is the simulated-annealing hot loop over the

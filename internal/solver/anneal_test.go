@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,11 +11,11 @@ import (
 func TestAnnealNeverWorseThanSeed(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		p := randomProblem(t, seed+140, 250, 15, 50)
-		rfh, err := IterativeRFH(p)
+		rfh, err := RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ann, err := Anneal(p, AnnealOptions{Start: rfh, Seed: seed})
+		ann, err := Anneal(context.Background(), p, AnnealOptions{Start: rfh, Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -29,11 +30,11 @@ func TestAnnealNeverWorseThanSeed(t *testing.T) {
 
 func TestAnnealRespectsOptimum(t *testing.T) {
 	p := randomProblem(t, 150, 150, 7, 18)
-	opt, err := Optimal(p, OptimalOptions{})
+	opt, err := Optimal(context.Background(), p, OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann, err := Anneal(p, AnnealOptions{Seed: 1, Iterations: 5000})
+	ann, err := Anneal(context.Background(), p, AnnealOptions{Seed: 1, Iterations: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,15 +49,15 @@ func TestAnnealRespectsOptimum(t *testing.T) {
 
 func TestAnnealDeterministicPerSeed(t *testing.T) {
 	p := randomProblem(t, 151, 200, 12, 40)
-	seedRes, err := IterativeRFH(p)
+	seedRes, err := RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Anneal(p, AnnealOptions{Start: seedRes, Seed: 7, Iterations: 2000})
+	a, err := Anneal(context.Background(), p, AnnealOptions{Start: seedRes, Seed: 7, Iterations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Anneal(p, AnnealOptions{Start: seedRes, Seed: 7, Iterations: 2000})
+	b, err := Anneal(context.Background(), p, AnnealOptions{Start: seedRes, Seed: 7, Iterations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestAnnealDeterministicPerSeed(t *testing.T) {
 
 func TestAnnealValidation(t *testing.T) {
 	p := randomProblem(t, 152, 200, 8, 20)
-	if _, err := Anneal(p, AnnealOptions{InitialTempFrac: 1e-6, FinalTempFrac: 1e-3}); err == nil {
+	if _, err := Anneal(context.Background(), p, AnnealOptions{InitialTempFrac: 1e-6, FinalTempFrac: 1e-3}); err == nil {
 		t.Error("inverted temperature schedule accepted")
 	}
 	bad := &Result{Solution: model.Solution{Deploy: model.Ones(2)}}
-	if _, err := Anneal(p, AnnealOptions{Start: bad}); err == nil {
+	if _, err := Anneal(context.Background(), p, AnnealOptions{Start: bad}); err == nil {
 		t.Error("invalid seed accepted")
 	}
 }
@@ -84,15 +85,15 @@ func TestAnnealVsLocalSearch(t *testing.T) {
 	var annealTotal, lsTotal float64
 	for seed := int64(1); seed <= 6; seed++ {
 		p := randomProblem(t, seed+160, 250, 15, 45)
-		rfhSeed, err := IterativeRFH(p)
+		rfhSeed, err := RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := LocalSearch(p, LocalSearchOptions{Start: rfhSeed})
+		ls, err := LocalSearch(context.Background(), p, LocalSearchOptions{Start: rfhSeed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ann, err := Anneal(p, AnnealOptions{Start: rfhSeed, Seed: seed, Iterations: 6000})
+		ann, err := Anneal(context.Background(), p, AnnealOptions{Start: rfhSeed, Seed: seed, Iterations: 6000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,8 @@ const (
 	autoPolishLimit = 40_000
 )
 
-// Auto solves p with the strongest algorithm that fits its size:
+// Auto solves inst with the strongest algorithm that fits it. The
+// deployment problem is tiered by size:
 //
 //   - small instances (exhaustive space <= ~50k deployments) get the
 //     exact branch-and-bound optimum;
@@ -31,52 +32,42 @@ const (
 //   - large instances get iterative RFH, polished by local search when a
 //     hill-climbing sweep is still affordable.
 //
-// It never returns a worse solution than iterative RFH.
-func Auto(p *model.Problem) (*Result, error) {
-	return AutoCtx(context.Background(), p)
-}
-
-// AutoInstance solves any problem instance with the strongest fitting
-// strategy. Deployment instances get the size-tiered deployment pipeline
-// below; other kinds get IDB's incremental growth polished by a local
-// search seeded with its result (the hill climb only ever improves, so
-// the polish is free insurance).
-func AutoInstance(ctx context.Context, inst model.Instance) (*Result, error) {
-	if p, ok := inst.(*model.Problem); ok {
-		return AutoCtx(ctx, p)
+// It never returns a worse deployment than iterative RFH. Other kinds
+// get IDB's incremental growth polished by a local search seeded with
+// its result (the hill climb only ever improves, so the polish is free
+// insurance). The context flows into whichever solver runs, inheriting
+// its cancellation cadence.
+func Auto(ctx context.Context, inst model.Instance) (*Result, error) {
+	p, ok := inst.(*model.Problem)
+	if !ok {
+		seed, err := IDB(ctx, inst, IDBOptions{Delta: 1, Workers: 1})
+		if err != nil {
+			return nil, err
+		}
+		polished, err := LocalSearch(ctx, inst, LocalSearchOptions{Start: seed})
+		if err != nil {
+			return nil, err
+		}
+		polished.Evaluations += seed.Evaluations
+		return polished, nil
 	}
-	seed, err := IDBInstance(ctx, inst, 1)
-	if err != nil {
-		return nil, err
-	}
-	polished, err := LocalSearchInstance(ctx, inst, LocalSearchOptions{Start: seed})
-	if err != nil {
-		return nil, err
-	}
-	polished.Evaluations += seed.Evaluations
-	return polished, nil
-}
-
-// AutoCtx is Auto with cancellation: the context flows into whichever
-// solver the size tiering picks, inheriting its cancellation cadence.
-func AutoCtx(ctx context.Context, p *model.Problem) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	n, m := p.N(), p.Nodes
 
 	if c := deploy.CountDeployments(n, m); c > 0 && c <= autoExactLimit {
-		return OptimalCtx(ctx, p, OptimalOptions{})
+		return Optimal(ctx, p, OptimalOptions{})
 	}
 	if idbEvals := int64(m-n) * int64(n); idbEvals <= autoIDBLimit {
-		return IDBWithOptionsCtx(ctx, p, IDBOptions{Delta: 1})
+		return IDB(ctx, p, IDBOptions{Delta: 1})
 	}
-	res, err := RFHCtx(ctx, p, RFHOptions{Iterations: DefaultRFHIterations})
+	res, err := RFH(ctx, p, RFHOptions{Iterations: DefaultRFHIterations})
 	if err != nil {
 		return nil, err
 	}
 	if int64(n)*int64(n) <= autoPolishLimit {
-		polished, err := LocalSearchCtx(ctx, p, LocalSearchOptions{Start: res})
+		polished, err := LocalSearch(ctx, p, LocalSearchOptions{Start: res})
 		if err != nil {
 			return nil, err
 		}

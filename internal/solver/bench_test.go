@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ func BenchmarkIDB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := IDB(p, 1); err != nil {
+		if _, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -24,14 +25,14 @@ func BenchmarkIDB(b *testing.B) {
 // probes are two-move deltas, the incremental evaluator's cheapest case.
 func BenchmarkLocalSearch(b *testing.B) {
 	p := randomProblem(b, 1, 350, 50, 150)
-	seed, err := IterativeRFH(p)
+	seed, err := RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LocalSearch(p, LocalSearchOptions{Start: seed}); err != nil {
+		if _, err := LocalSearch(context.Background(), p, LocalSearchOptions{Start: seed}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,8 +34,8 @@ func cancelMidRun(t *testing.T, name string, deadline time.Duration, solve func(
 // than the cancellation window.
 func TestOptimalCtxCancelsMidSearch(t *testing.T) {
 	p := randomProblem(t, 501, 200, 12, 44)
-	cancelMidRun(t, "OptimalCtx", 10*time.Second, func(ctx context.Context) error {
-		_, err := OptimalCtx(ctx, p, OptimalOptions{})
+	cancelMidRun(t, "Optimal", 10*time.Second, func(ctx context.Context) error {
+		_, err := Optimal(ctx, p, OptimalOptions{})
 		return err
 	})
 
@@ -53,8 +53,8 @@ func TestOptimalCtxCancelsMidSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 		incumbent := &Result{Solution: model.Solution{Deploy: best, Tree: tree, Cost: cost}}
-		cancelMidRun(t, "OptimalCtx", 10*time.Second, func(ctx context.Context) error {
-			_, err := OptimalCtx(ctx, p, OptimalOptions{Incumbent: incumbent})
+		cancelMidRun(t, "Optimal", 10*time.Second, func(ctx context.Context) error {
+			_, err := Optimal(ctx, p, OptimalOptions{Incumbent: incumbent})
 			return err
 		})
 	})
@@ -65,8 +65,8 @@ func TestOptimalCtxCancelsMidSearch(t *testing.T) {
 // loaded machine, so it is sized well past the paper scale.
 func TestIDBCtxCancelsMidRun(t *testing.T) {
 	p := randomProblem(t, 502, 400, 120, 3000)
-	cancelMidRun(t, "IDBCtx", 10*time.Second, func(ctx context.Context) error {
-		_, err := IDBCtx(ctx, p, 1)
+	cancelMidRun(t, "IDB", 10*time.Second, func(ctx context.Context) error {
+		_, err := IDB(ctx, p, IDBOptions{Delta: 1, Workers: 1})
 		return err
 	})
 }
@@ -74,8 +74,8 @@ func TestIDBCtxCancelsMidRun(t *testing.T) {
 // TestIDBParallelCtxCancelsMidRun aborts the parallel candidate pool.
 func TestIDBParallelCtxCancelsMidRun(t *testing.T) {
 	p := randomProblem(t, 503, 400, 120, 3000)
-	cancelMidRun(t, "IDBWithOptionsCtx", 10*time.Second, func(ctx context.Context) error {
-		_, err := IDBWithOptionsCtx(ctx, p, IDBOptions{Delta: 1, Workers: 4})
+	cancelMidRun(t, "parallel IDB", 10*time.Second, func(ctx context.Context) error {
+		_, err := IDB(ctx, p, IDBOptions{Delta: 1, Workers: 4})
 		return err
 	})
 }
@@ -87,31 +87,8 @@ func TestRFHCtxCancelsBetweenRounds(t *testing.T) {
 	p := randomProblem(t, 504, 200, 8, 20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RFHCtx(ctx, p, RFHOptions{Iterations: 50}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RFHCtx: want context.Canceled, got %v", err)
-	}
-}
-
-// TestCtxVariantsMatchPlainResults: with a background context the Ctx
-// entry points are the plain solvers (same code path), so results are
-// identical.
-func TestCtxVariantsMatchPlainResults(t *testing.T) {
-	p := randomProblem(t, 505, 200, 8, 20)
-	plain, err := IDB(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCtx, err := IDBCtx(context.Background(), p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Cost != viaCtx.Cost {
-		t.Errorf("IDBCtx diverged from IDB: %v vs %v", viaCtx.Cost, plain.Cost)
-	}
-	for i := range plain.Deploy {
-		if plain.Deploy[i] != viaCtx.Deploy[i] {
-			t.Errorf("IDBCtx deployment diverged at post %d: %d vs %d", i, viaCtx.Deploy[i], plain.Deploy[i])
-		}
+	if _, err := RFH(ctx, p, RFHOptions{Iterations: 50}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RFH: want context.Canceled, got %v", err)
 	}
 }
 
@@ -124,7 +101,7 @@ func TestDeadlineExceededPropagates(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	<-ctx.Done()
-	_, err := IDBCtx(ctx, p, 1)
+	_, err := IDB(ctx, p, IDBOptions{Delta: 1, Workers: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}

@@ -30,44 +30,52 @@ func TestGoldenCosts(t *testing.T) {
 	}{
 		{
 			name: "iterRFH small", seed: 1, side: 200, posts: 8, nodes: 20,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return IterativeRFH(p) }),
-			want:  675.6848958333334,
+			solve: goldenSolve(func(p *problemT) (*Result, error) {
+				return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
+			}),
+			want: 675.6848958333334,
 		},
 		{
 			name: "IDB small", seed: 1, side: 200, posts: 8, nodes: 20,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return IDB(p, 1) }),
-			want:  675.6848958333334,
+			solve: goldenSolve(func(p *problemT) (*Result, error) {
+				return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+			}),
+			want: 675.6848958333334,
 		},
 		{
 			name: "optimal small", seed: 1, side: 200, posts: 8, nodes: 20,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return Optimal(p, OptimalOptions{}) }),
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return Optimal(context.Background(), p, OptimalOptions{}) }),
 			want:  675.6848958333334,
 		},
 		{
 			name: "iterRFH mid", seed: 5, side: 300, posts: 20, nodes: 60,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return IterativeRFH(p) }),
-			want:  2326.5787760416670,
+			solve: goldenSolve(func(p *problemT) (*Result, error) {
+				return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
+			}),
+			want: 2326.5787760416670,
 		},
 		{
 			name: "IDB mid", seed: 5, side: 300, posts: 20, nodes: 60,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return IDB(p, 1) }),
-			want:  2326.3769531250000,
+			solve: goldenSolve(func(p *problemT) (*Result, error) {
+				return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+			}),
+			want: 2326.3769531250000,
 		},
 		// Anneal at the ext-portfolio shape (350 m, 40 posts, 200 nodes)
 		// and on a placement instance.
 		{
 			name: "anneal portfolio 1", seed: 1, side: 350, posts: 40, nodes: 200,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return Anneal(p, AnnealOptions{Seed: 1}) }),
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return Anneal(context.Background(), p, AnnealOptions{Seed: 1}) }),
 			want:  2987.5214435829153,
 		},
 		{
 			name: "anneal portfolio 2", seed: 2, side: 350, posts: 40, nodes: 200,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return Anneal(p, AnnealOptions{Seed: 2}) }),
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return Anneal(context.Background(), p, AnnealOptions{Seed: 2}) }),
 			want:  3663.9038353076148,
 		},
 		{
 			name: "anneal portfolio 3", seed: 3, side: 350, posts: 40, nodes: 200,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return Anneal(p, AnnealOptions{Seed: 3}) }),
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return Anneal(context.Background(), p, AnnealOptions{Seed: 3}) }),
 			want:  2957.6986506842313,
 		},
 		{
@@ -105,7 +113,7 @@ func goldenSolve(solve func(*problemT) (*Result, error)) func(*testing.T, int64,
 // the given seed through the generic instance path.
 func goldenPlacementAnneal(t *testing.T, seed int64, _ float64, _, _ int) float64 {
 	t.Helper()
-	res, err := AnnealInstance(context.Background(), testPlacementInstance(t, seed), AnnealOptions{Seed: seed})
+	res, err := Anneal(context.Background(), testPlacementInstance(t, seed), AnnealOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"wrsn/internal/deploy"
 	"wrsn/internal/model"
@@ -14,6 +15,21 @@ import (
 // in profiles.
 const ctxCheckStride = 64
 
+// IDBOptions configures IDB.
+type IDBOptions struct {
+	// Delta is the per-round node increment (>= 1; the paper uses 1).
+	Delta int
+	// Workers is the number of goroutines evaluating candidate
+	// placements concurrently; 0 means GOMAXPROCS, 1 runs sequentially.
+	// Each worker carries its own evaluator (the protocol is
+	// not concurrency-safe), so memory scales with
+	// workers while results remain bit-identical to the sequential run
+	// (the winning candidate is the cost-minimal one, ties broken by
+	// lexicographically smallest placement — the same candidate the
+	// sequential enumeration finds first).
+	Workers int
+}
+
 // IDB runs the Incremental Deployment-Based heuristic (Section V-B).
 //
 // Every post starts with one node. The remaining M-N nodes are placed in
@@ -24,56 +40,54 @@ const ctxCheckStride = 64
 // CostDelta against the round's committed base so only the repriced
 // region is recomputed — and commits the cheapest. Smaller delta is
 // cheaper per round but greedier; the paper's comparisons use delta = 1.
-func IDB(p *model.Problem, delta int) (*Result, error) {
-	return IDBCtx(context.Background(), p, delta)
-}
-
-// IDBCtx is IDB with cancellation: the context is checked at every round
-// boundary and every ctxCheckStride candidate evaluations, so a
-// cancelled run returns ctx.Err() within a handful of Dijkstra runs.
-func IDBCtx(ctx context.Context, p *model.Problem, delta int) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if delta < 1 {
-		return nil, fmt.Errorf("solver: IDB delta must be >= 1, got %d", delta)
-	}
-	ev, err := p.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	cur, _, evaluations, err := idbSearch(ctx, p, ev, delta)
-	if err != nil {
-		return nil, err
-	}
-	return finishDeployment(p, ev, cur, evaluations)
-}
-
-// IDBInstance runs the IDB search loop over any problem instance.
-// Deployment instances take the exact deployment path (routing tree and
-// all); other kinds run the same incremental growth generically: with a
-// fixed solution total the rounds spread it as for deployment, without
+//
+// Other problem kinds run the same incremental growth generically: with
+// a fixed solution total the rounds spread it as for deployment, without
 // one the search greedily adds the single best unit per round while that
 // strictly improves the cost.
-func IDBInstance(ctx context.Context, inst model.Instance, delta int) (*Result, error) {
-	if p, ok := inst.(*model.Problem); ok {
-		return IDBCtx(ctx, p, delta)
-	}
+//
+// With more than one worker, each fixed-total round's candidates are
+// evaluated by a parallel pool: IDB's inner loop — one Dijkstra per
+// candidate placement per round — is embarrassingly parallel, and at the
+// paper's large scales (Figs. 8-10) it dominates total runtime.
+// Free-total instances always run sequentially: their rounds probe only
+// one unit-add per dimension, too little work to farm out.
+//
+// The context is checked at every round boundary and every
+// ctxCheckStride candidate evaluations (by the candidate producer and by
+// every worker), so a cancelled run returns ctx.Err() within a handful
+// of Dijkstra runs.
+func IDB(ctx context.Context, inst model.Instance, opts IDBOptions) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	if delta < 1 {
-		return nil, fmt.Errorf("solver: IDB delta must be >= 1, got %d", delta)
+	if opts.Delta < 1 {
+		return nil, fmt.Errorf("solver: IDB delta must be >= 1, got %d", opts.Delta)
 	}
-	ev, err := inst.NewEvaluator()
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if _, fixed := inst.FixedTotal(); !fixed {
+		workers = 1
+	}
+	evaluators, err := newEvaluators(inst, workers)
 	if err != nil {
 		return nil, err
 	}
-	cur, _, evaluations, err := idbSearch(ctx, inst, ev, delta)
+	var (
+		cur         []int
+		evaluations int64
+	)
+	if workers == 1 {
+		cur, evaluations, err = idbSearch(ctx, inst, evaluators[0], opts.Delta)
+	} else {
+		cur, evaluations, err = idbParallelSearch(ctx, inst, evaluators, opts.Delta)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return finishInstance(inst, cur, evaluations)
+	return finish(inst, evaluators[0], cur, evaluations)
 }
 
 // upperBounds materialises inst's per-dimension upper bounds so the hot
@@ -88,18 +102,15 @@ func upperBounds(inst model.Instance) []int {
 
 // idbSearch is the IDB hot loop over the instance/evaluator seam: it
 // grows the solution from the instance's lower bounds and returns the
-// final vector, its cost under ev's committed state, and the candidate
-// evaluation count. It touches no deployment state; the wrappers own
-// validation and result assembly.
-func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, delta int) ([]int, float64, int64, error) {
-	if delta < 1 {
-		return nil, 0, 0, fmt.Errorf("solver: IDB delta must be >= 1, got %d", delta)
-	}
+// final vector (ev ends committed on it) and the candidate evaluation
+// count. It touches no deployment state; IDB owns validation and result
+// assembly.
+func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, delta int) ([]int, int64, error) {
 	n := inst.Dims()
 	cur := model.LowerBoundVector(inst)
 	curCost, err := ev.Cost(cur)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	ub := upperBounds(inst)
 	var evaluations int64
@@ -115,11 +126,10 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 	}
 	total, fixedTotal := inst.FixedTotal()
 	if !fixedTotal {
-		cost, err := idbGrow(ctx, inst, ev, pc, cur, curCost, ub, &evaluations)
-		if err != nil {
-			return nil, 0, 0, err
+		if err := idbGrow(ctx, inst, ev, pc, cur, curCost, ub, &evaluations); err != nil {
+			return nil, 0, err
 		}
-		return cur, cost, evaluations, nil
+		return cur, evaluations, nil
 	}
 
 	bestExtra := make([]int, n)
@@ -138,7 +148,7 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 	}
 	for remaining > 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		step := delta
 		if step > remaining {
@@ -180,20 +190,20 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 				}
 				if evaluations%ctxCheckStride == 0 {
 					if err := ctx.Err(); err != nil {
-						return nil, 0, 0, err
+						return nil, 0, err
 					}
 				}
 				mv[0] = model.Move{Post: i, Delta: 1}
 				cost, evalErr := ev.CostDelta(mv)
 				evaluations++
 				if evalErr != nil {
-					return nil, 0, 0, evalErr
+					return nil, 0, evalErr
 				}
 				if pc != nil {
 					pc.CacheProbe(i)
 				}
 				if evalErr := ev.Revert(); evalErr != nil {
-					return nil, 0, 0, evalErr
+					return nil, 0, evalErr
 				}
 				if bestI < 0 || cost < bestCost-costSlack {
 					bestI = i
@@ -242,14 +252,14 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 				return true
 			})
 			if loopErr != nil {
-				return nil, 0, 0, loopErr
+				return nil, 0, loopErr
 			}
 			if evalFailure != nil {
-				return nil, 0, 0, evalFailure
+				return nil, 0, evalFailure
 			}
 		}
 		if !found {
-			return nil, 0, 0, fmt.Errorf("solver: IDB round evaluated no candidates (delta=%d)", step)
+			return nil, 0, fmt.Errorf("solver: IDB round evaluated no candidates (delta=%d)", step)
 		}
 		// Commit the round winner: promote its cached probe when the
 		// cache still holds it (the probe-promoting commit — no second
@@ -258,27 +268,22 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 		// base.
 		committed := false
 		if pc != nil && step == 1 {
-			if cost, ok := pc.CommitCached(winnerPost(bestExtra)); ok {
-				curCost = cost
-				committed = true
-			}
+			_, committed = pc.CommitCached(winnerPost(bestExtra))
 		}
 		if !committed {
-			cost, err := ev.CostDelta(extraMoves(bestExtra))
-			if err != nil {
-				return nil, 0, 0, err
+			if _, err := ev.CostDelta(extraMoves(bestExtra)); err != nil {
+				return nil, 0, err
 			}
 			if err := ev.Commit(); err != nil {
-				return nil, 0, 0, err
+				return nil, 0, err
 			}
-			curCost = cost
 		}
 		for i, e := range bestExtra {
 			cur[i] += e
 		}
 		remaining -= step
 	}
-	return cur, curCost, evaluations, nil
+	return cur, evaluations, nil
 }
 
 // winnerPost returns the single incremented post of a δ=1 round's extra
@@ -297,12 +302,12 @@ func winnerPost(extra []int) int {
 // every dimension with headroom and commits the cheapest while it
 // strictly improves on the committed cost. The unit-wise growth mirrors
 // the δ=1 path's candidate order and tie-breaking.
-func idbGrow(ctx context.Context, inst model.Instance, ev model.Evaluator, pc model.ProbeCache, cur []int, curCost float64, ub []int, evaluations *int64) (float64, error) {
+func idbGrow(ctx context.Context, inst model.Instance, ev model.Evaluator, pc model.ProbeCache, cur []int, curCost float64, ub []int, evaluations *int64) error {
 	n := inst.Dims()
 	mv := make([]model.Move, 1)
 	for {
 		if err := ctx.Err(); err != nil {
-			return 0, err
+			return err
 		}
 		bestI := -1
 		bestCost := -1.0
@@ -321,20 +326,20 @@ func idbGrow(ctx context.Context, inst model.Instance, ev model.Evaluator, pc mo
 			}
 			if *evaluations%ctxCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
-					return 0, err
+					return err
 				}
 			}
 			mv[0] = model.Move{Post: i, Delta: 1}
 			cost, err := ev.CostDelta(mv)
 			*evaluations++
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if pc != nil {
 				pc.CacheProbe(i)
 			}
 			if err := ev.Revert(); err != nil {
-				return 0, err
+				return err
 			}
 			if bestI < 0 || cost < bestCost-costSlack {
 				bestI = i
@@ -342,7 +347,7 @@ func idbGrow(ctx context.Context, inst model.Instance, ev model.Evaluator, pc mo
 			}
 		}
 		if bestI < 0 || bestCost >= curCost-costSlack {
-			return curCost, nil
+			return nil
 		}
 		if pc != nil {
 			if cost, ok := pc.CommitCached(bestI); ok {
@@ -354,10 +359,10 @@ func idbGrow(ctx context.Context, inst model.Instance, ev model.Evaluator, pc mo
 		mv[0] = model.Move{Post: bestI, Delta: 1}
 		cost, err := ev.CostDelta(mv)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := ev.Commit(); err != nil {
-			return 0, err
+			return err
 		}
 		cur[bestI]++
 		curCost = cost

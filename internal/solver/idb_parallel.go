@@ -3,100 +3,11 @@ package solver
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"wrsn/internal/deploy"
 	"wrsn/internal/model"
 )
-
-// IDBOptions configures IDBWithOptions.
-type IDBOptions struct {
-	// Delta is the per-round node increment (>= 1; the paper uses 1).
-	Delta int
-	// Workers is the number of goroutines evaluating candidate
-	// placements concurrently; 0 means GOMAXPROCS, 1 runs sequentially.
-	// Each worker carries its own evaluator (the protocol is
-	// not concurrency-safe), so memory scales with
-	// workers while results remain bit-identical to the sequential run
-	// (the winning candidate is the cost-minimal one, ties broken by
-	// lexicographically smallest placement — the same candidate the
-	// sequential enumeration finds first).
-	Workers int
-}
-
-// IDBWithOptions runs the Incremental Deployment-Based heuristic with a
-// configurable parallel evaluation pool. IDB's inner loop — one Dijkstra
-// per candidate placement per round — is embarrassingly parallel, and at
-// the paper's large scales (Figs. 8-10) it dominates total runtime.
-func IDBWithOptions(p *model.Problem, opts IDBOptions) (*Result, error) {
-	return IDBWithOptionsCtx(context.Background(), p, opts)
-}
-
-// IDBWithOptionsCtx is IDBWithOptions with cancellation: the context is
-// checked at round boundaries, by the candidate producer, and by every
-// evaluation worker on a ctxCheckStride cadence, so a cancelled run
-// stops feeding work and returns ctx.Err() within a few Dijkstra runs.
-func IDBWithOptionsCtx(ctx context.Context, p *model.Problem, opts IDBOptions) (*Result, error) {
-	if opts.Delta < 1 {
-		return nil, fmt.Errorf("solver: IDB delta must be >= 1, got %d", opts.Delta)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return IDBCtx(ctx, p, opts.Delta)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	evaluators, err := newEvaluators(p, workers)
-	if err != nil {
-		return nil, err
-	}
-	cur, evaluations, err := idbParallelSearch(ctx, p, evaluators, opts.Delta)
-	if err != nil {
-		return nil, err
-	}
-	return finishDeployment(p, evaluators[0], cur, evaluations)
-}
-
-// IDBWithOptionsInstance runs the parallel IDB search over any problem
-// instance. Deployment instances take the exact deployment path; other
-// fixed-total kinds run the same parallel round structure generically.
-// Free-total instances fall back to the sequential search: their rounds
-// probe only one unit-add per dimension, too little work to farm out.
-func IDBWithOptionsInstance(ctx context.Context, inst model.Instance, opts IDBOptions) (*Result, error) {
-	if p, ok := inst.(*model.Problem); ok {
-		return IDBWithOptionsCtx(ctx, p, opts)
-	}
-	if _, fixed := inst.FixedTotal(); !fixed {
-		return IDBInstance(ctx, inst, opts.Delta)
-	}
-	if opts.Delta < 1 {
-		return nil, fmt.Errorf("solver: IDB delta must be >= 1, got %d", opts.Delta)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return IDBInstance(ctx, inst, opts.Delta)
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	evaluators, err := newEvaluators(inst, workers)
-	if err != nil {
-		return nil, err
-	}
-	cur, evaluations, err := idbParallelSearch(ctx, inst, evaluators, opts.Delta)
-	if err != nil {
-		return nil, err
-	}
-	return finishInstance(inst, cur, evaluations)
-}
 
 // newEvaluators builds one production evaluator per worker.
 func newEvaluators(inst model.Instance, workers int) ([]model.Evaluator, error) {

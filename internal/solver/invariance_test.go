@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,8 +24,12 @@ func TestCostScalesInverseEtaEndToEnd(t *testing.T) {
 	halved.Charging = cm
 
 	for name, solve := range map[string]func(p *model.Problem) (*Result, error){
-		"iterRFH": IterativeRFH,
-		"IDB1":    func(p *model.Problem) (*Result, error) { return IDB(p, 1) },
+		"iterRFH": func(p *model.Problem) (*Result, error) {
+			return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
+		},
+		"IDB1": func(p *model.Problem) (*Result, error) {
+			return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+		},
 	} {
 		a, err := solve(base)
 		if err != nil {
@@ -64,11 +69,11 @@ func TestTranslationInvariance(t *testing.T) {
 	}
 	shifted.BS = base.BS.Add(offset)
 
-	a, err := IterativeRFH(base)
+	a, err := RFH(context.Background(), base, RFHOptions{Iterations: DefaultRFHIterations})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := IterativeRFH(&shifted)
+	b, err := RFH(context.Background(), &shifted, RFHOptions{Iterations: DefaultRFHIterations})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +99,11 @@ func TestMirrorInvariance(t *testing.T) {
 	}
 	mirrored.BS = geom.Point{X: base.BS.Y, Y: base.BS.X}
 
-	a, err := IDB(base, 1)
+	a, err := IDB(context.Background(), base, IDBOptions{Delta: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := IDB(&mirrored, 1)
+	b, err := IDB(context.Background(), &mirrored, IDBOptions{Delta: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +149,15 @@ func TestSolversWithHeterogeneousRates(t *testing.T) {
 	for i := range p.ReportRates {
 		p.ReportRates[i] = 0.5 + float64(i%4) // 0.5, 1.5, 2.5, 3.5, ...
 	}
-	opt, err := Optimal(p, OptimalOptions{})
+	opt, err := Optimal(context.Background(), p, OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idb, err := IDB(p, 1)
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rfh, err := IterativeRFH(p)
+	rfh, err := RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 	if err != nil {
 		t.Fatal(err)
 	}

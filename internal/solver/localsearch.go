@@ -9,10 +9,11 @@ import (
 
 // LocalSearchOptions configures LocalSearch.
 type LocalSearchOptions struct {
-	// Start seeds the search; nil runs IterativeRFH first. Any valid
-	// Result works — seeding with IDB's output polishes the best
-	// heuristic, seeding with RFH's buys most of IDB's quality at a
-	// fraction of its cost.
+	// Start seeds the search; nil seeds deployment with iterative RFH
+	// and other kinds with the instance's own heuristic (or its lower
+	// bounds). Any valid Result works — seeding with IDB's output
+	// polishes the best heuristic, seeding with RFH's buys most of IDB's
+	// quality at a fraction of its cost.
 	Start *Result
 	// MaxPasses bounds full sweeps over all node-move pairs; 0 means
 	// run until a local optimum (every sweep must improve to continue,
@@ -21,67 +22,28 @@ type LocalSearchOptions struct {
 	MaxPasses int
 }
 
-// LocalSearch is a deployment hill-climber, an extension beyond the
-// paper's two heuristics: starting from a seed solution it repeatedly
-// moves one node from its post to another when that strictly lowers the
-// minimum recharging cost (evaluated exactly — each probe is a two-move
+// LocalSearch is a hill-climber, an extension beyond the paper's two
+// heuristics: starting from a seed solution it repeatedly moves one unit
+// (for deployment, one node from its post to another) when that strictly
+// lowers the cost (evaluated exactly — each probe is a two-move
 // CostDelta repairing the standing shortest-path solution, committed on
-// acceptance), until no single-node move improves. The result is therefore
+// acceptance), until no single move improves. The result is therefore
 // 1-move-optimal: a deployment where IDB-style greedy additions and
-// removals have no regrets left.
-func LocalSearch(p *model.Problem, opts LocalSearchOptions) (*Result, error) {
-	return LocalSearchCtx(context.Background(), p, opts)
-}
-
-// LocalSearchCtx is LocalSearch with cancellation: the context is
-// checked every ctxCheckStride move probes (and flows into the RFH seed
-// run), so a cancelled climb returns ctx.Err() within a handful of
-// Dijkstra runs.
-func LocalSearchCtx(ctx context.Context, p *model.Problem, opts LocalSearchOptions) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	start := opts.Start
-	if start == nil {
-		s, err := RFHCtx(ctx, p, RFHOptions{Iterations: DefaultRFHIterations})
-		if err != nil {
-			return nil, fmt.Errorf("solver: local search could not build a seed: %w", err)
-		}
-		start = s
-	}
-	if err := start.Deploy.Validate(p); err != nil {
-		return nil, fmt.Errorf("solver: invalid local-search seed: %w", err)
-	}
-	ev, err := p.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	cur := []int(start.Deploy.Clone())
-	evaluations, err := climb(ctx, p, ev, cur, opts.MaxPasses)
-	if err != nil {
-		return nil, err
-	}
-	return finishDeployment(p, ev, cur, evaluations)
-}
-
-// LocalSearchInstance runs the hill climb over any problem instance.
-// Deployment instances take the exact deployment path (RFH seeding,
-// routing tree); other kinds seed from the instance's own heuristic when
-// it provides one (falling back to the lower-bound vector) and climb the
-// same move neighbourhood, widened by single-unit adds and removals when
-// the instance has no fixed solution total.
-func LocalSearchInstance(ctx context.Context, inst model.Instance, opts LocalSearchOptions) (*Result, error) {
-	if p, ok := inst.(*model.Problem); ok {
-		return LocalSearchCtx(ctx, p, opts)
-	}
+// removals have no regrets left. Instances without a fixed solution
+// total widen the neighbourhood by single-unit adds and removals.
+//
+// The context is checked every ctxCheckStride move probes (and flows
+// into the seed run), so a cancelled climb returns ctx.Err() within a
+// handful of Dijkstra runs.
+func LocalSearch(ctx context.Context, inst model.Instance, opts LocalSearchOptions) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	ev, err := inst.NewEvaluator()
+	cur, seedEvals, err := seedVector(ctx, inst, opts.Start)
 	if err != nil {
 		return nil, err
 	}
-	cur, seedEvals, err := instanceSeed(ctx, inst, opts.Start)
+	ev, err := inst.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -89,18 +51,30 @@ func LocalSearchInstance(ctx context.Context, inst model.Instance, opts LocalSea
 	if err != nil {
 		return nil, err
 	}
-	res, err := finishInstance(inst, cur, evaluations+seedEvals)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return finish(inst, ev, cur, evaluations+seedEvals)
 }
 
-// instanceSeed picks the refinement solvers' starting vector for a
-// non-deployment instance: the caller's start when given, the instance's
-// own construction heuristic when it implements SeedHeuristic, the
-// lower-bound vector otherwise.
-func instanceSeed(ctx context.Context, inst model.Instance, start *Result) ([]int, int64, error) {
+// seedVector picks the refinement solvers' starting vector and the
+// evaluations spent building it. The caller's start wins when given.
+// Otherwise the deployment problem seeds from iterative RFH, and other
+// kinds from the instance's own construction heuristic when it
+// implements SeedHeuristic, the lower-bound vector failing that.
+// Deployment results count only their own search's evaluations, so a
+// deployment seed reports 0; other kinds count their seed heuristic's.
+func seedVector(ctx context.Context, inst model.Instance, start *Result) ([]int, int64, error) {
+	if p, ok := inst.(*model.Problem); ok {
+		if start == nil {
+			s, err := RFH(ctx, p, RFHOptions{Iterations: DefaultRFHIterations})
+			if err != nil {
+				return nil, 0, fmt.Errorf("solver: could not build a seed: %w", err)
+			}
+			start = s
+		}
+		if err := p.ValidateSolution(start.Deploy); err != nil {
+			return nil, 0, fmt.Errorf("solver: invalid seed: %w", err)
+		}
+		return []int(start.Deploy.Clone()), 0, nil
+	}
 	if start != nil {
 		if start.Vector == nil {
 			return nil, 0, fmt.Errorf("solver: seed result for %q instance carries no vector", inst.Kind())

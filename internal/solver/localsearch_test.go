@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,11 +11,11 @@ import (
 func TestLocalSearchImprovesOrMatchesSeed(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		p := randomProblem(t, seed+40, 200, 12, 40)
-		rfh, err := IterativeRFH(p)
+		rfh, err := RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := LocalSearch(p, LocalSearchOptions{Start: rfh})
+		ls, err := LocalSearch(context.Background(), p, LocalSearchOptions{Start: rfh})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -34,11 +35,11 @@ func TestLocalSearchNearOptimal(t *testing.T) {
 	worst := 0.0
 	for seed := int64(1); seed <= 8; seed++ {
 		p := randomProblem(t, seed+60, 150, 7, 18)
-		opt, err := Optimal(p, OptimalOptions{})
+		opt, err := Optimal(context.Background(), p, OptimalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := LocalSearch(p, LocalSearchOptions{})
+		ls, err := LocalSearch(context.Background(), p, LocalSearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestLocalSearchNearOptimal(t *testing.T) {
 
 func TestLocalSearchIsOneMoveOptimal(t *testing.T) {
 	p := randomProblem(t, 77, 200, 8, 20)
-	ls, err := LocalSearch(p, LocalSearchOptions{})
+	ls, err := LocalSearch(context.Background(), p, LocalSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestLocalSearchIsOneMoveOptimal(t *testing.T) {
 
 func TestLocalSearchMaxPasses(t *testing.T) {
 	p := randomProblem(t, 78, 200, 10, 40)
-	one, err := LocalSearch(p, LocalSearchOptions{MaxPasses: 1})
+	one, err := LocalSearch(context.Background(), p, LocalSearchOptions{MaxPasses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := LocalSearch(p, LocalSearchOptions{})
+	full, err := LocalSearch(context.Background(), p, LocalSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestLocalSearchMaxPasses(t *testing.T) {
 func TestLocalSearchRejectsBadSeed(t *testing.T) {
 	p := randomProblem(t, 79, 200, 8, 20)
 	bad := &Result{Solution: model.Solution{Deploy: model.Ones(3)}} // wrong size
-	if _, err := LocalSearch(p, LocalSearchOptions{Start: bad}); err == nil {
+	if _, err := LocalSearch(context.Background(), p, LocalSearchOptions{Start: bad}); err == nil {
 		t.Error("invalid seed accepted")
 	}
 }
@@ -115,11 +116,11 @@ func TestIDBParallelMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		p := randomProblem(t, seed+90, 250, 20, 70)
 		for _, delta := range []int{1, 3} {
-			seq, err := IDB(p, delta)
+			seq, err := IDB(context.Background(), p, IDBOptions{Delta: delta, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := IDBWithOptions(p, IDBOptions{Delta: delta, Workers: 4})
+			par, err := IDB(context.Background(), p, IDBOptions{Delta: delta, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,10 +145,10 @@ func TestIDBParallelMatchesSequential(t *testing.T) {
 
 func TestIDBParallelValidation(t *testing.T) {
 	p := randomProblem(t, 95, 200, 8, 16)
-	if _, err := IDBWithOptions(p, IDBOptions{Delta: 0}); err == nil {
+	if _, err := IDB(context.Background(), p, IDBOptions{Delta: 0}); err == nil {
 		t.Error("delta 0 accepted")
 	}
-	res, err := IDBWithOptions(p, IDBOptions{Delta: 1}) // Workers 0 = GOMAXPROCS
+	res, err := IDB(context.Background(), p, IDBOptions{Delta: 1}) // Workers 0 = GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,8 @@ type OptimalOptions struct {
 	// unlimited. When the search aborts, ErrSearchBudget is returned.
 	MaxEvaluations int64
 	// Incumbent optionally seeds the search with a known-feasible
-	// solution (e.g. from IDB); nil lets Optimal run IDB(1) itself.
+	// solution (e.g. from IDB); nil lets Optimal run sequential IDB(1)
+	// itself.
 	Incumbent *Result
 }
 
@@ -56,31 +57,22 @@ const costSlack = 1e-9
 // optimum overwhelmingly takes — so the incumbent prunes aggressively.
 // Practical for the paper's small-scale comparison (Fig. 7: N<=12,
 // M<=36); use IDB or RFH beyond that.
-func Optimal(p *model.Problem, opts OptimalOptions) (*Result, error) {
-	return OptimalCtx(context.Background(), p, opts)
-}
-
-// OptimalInstance runs the exact search when the instance is the
-// deployment problem and rejects every other kind with an
-// UnsupportedError: the branch-and-bound's admissible bound assumes the
-// cost is monotone non-increasing in every dimension, which is a
-// theorem for deployment (more nodes never worsen the optimal routing)
-// and false in general — charger placement's site costs grow with every
-// added unit.
-func OptimalInstance(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Result, error) {
+//
+// Optimal solves only the deployment problem and rejects every other
+// kind with an UnsupportedError: the admissible bound assumes the cost
+// is monotone non-increasing in every dimension, which is a theorem for
+// deployment (more nodes never worsen the optimal routing) and false in
+// general — charger placement's site costs grow with every added unit.
+//
+// The context is checked on a ctxCheckStride cadence inside the
+// branch-and-bound's evaluation closure — the single funnel every search
+// node passes through, floor rejections included — so a cancelled search
+// unwinds and returns ctx.Err() within a handful of Dijkstra runs.
+func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Result, error) {
 	p, ok := inst.(*model.Problem)
 	if !ok {
 		return nil, unsupported("optimal", inst)
 	}
-	return OptimalCtx(ctx, p, opts)
-}
-
-// OptimalCtx is Optimal with cancellation: the context is checked on a
-// ctxCheckStride cadence inside the branch-and-bound's evaluation
-// closure — the single funnel every search node passes through, floor
-// rejections included — so a cancelled search unwinds and returns
-// ctx.Err() within a handful of Dijkstra runs.
-func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,7 +87,7 @@ func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Re
 
 	incumbent := opts.Incumbent
 	if incumbent == nil {
-		incumbent, err = IDBCtx(ctx, p, 1)
+		incumbent, err = IDB(ctx, p, IDBOptions{Delta: 1, Workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("solver: optimal could not seed incumbent: %w", err)
 		}
@@ -254,7 +246,7 @@ func NaiveExact(p *model.Problem) (*Result, error) {
 		return nil, err
 	}
 	n := p.Dims()
-	ev, err := newDeltaEvaluator(context.Background(), p)
+	ev, err := newDeltaEvaluator(p)
 	if err != nil {
 		return nil, err
 	}

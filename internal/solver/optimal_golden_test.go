@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -111,7 +112,7 @@ func TestOptimalMatchesGolden(t *testing.T) {
 	}
 	for i, c := range cases {
 		want := optimalGoldenTable[i]
-		res, err := Optimal(c.problem(t), OptimalOptions{})
+		res, err := Optimal(context.Background(), c.problem(t), OptimalOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}

@@ -81,11 +81,11 @@ func TestIDBDirtyPruningDifferential(t *testing.T) {
 	ctx := context.Background()
 	var cachedTotal, plainTotal int64
 	run := func(name string, inst model.Instance) {
-		cached, err := IDBInstance(ctx, plainlessWrap(inst), 1)
+		cached, err := IDB(ctx, plainlessWrap(inst), IDBOptions{Delta: 1, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: cached IDB: %v", name, err)
 		}
-		plain, err := IDBInstance(ctx, plainInstance{inst}, 1)
+		plain, err := IDB(ctx, plainInstance{inst}, IDBOptions{Delta: 1, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: plain IDB: %v", name, err)
 		}
@@ -122,11 +122,11 @@ func TestLocalSearchDirtyPruningDifferential(t *testing.T) {
 	var cachedTotal, plainTotal int64
 	run := func(name string, inst model.Instance, start *Result) {
 		opts := LocalSearchOptions{Start: start}
-		cached, err := LocalSearchInstance(ctx, plainlessWrap(inst), opts)
+		cached, err := LocalSearch(ctx, plainlessWrap(inst), opts)
 		if err != nil {
 			t.Fatalf("%s: cached climb: %v", name, err)
 		}
-		plain, err := LocalSearchInstance(ctx, plainInstance{inst}, opts)
+		plain, err := LocalSearch(ctx, plainInstance{inst}, opts)
 		if err != nil {
 			t.Fatalf("%s: plain climb: %v", name, err)
 		}

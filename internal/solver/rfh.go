@@ -58,26 +58,18 @@ const DefaultRFHIterations = 7
 // and the Dijkstra/trim state is recycled across rounds
 // (graph.Router/routing.Trimmer). Result.Evaluations reports the total
 // Dijkstra vertex settlements.
-func RFH(p *model.Problem, opts RFHOptions) (*Result, error) {
-	return RFHCtx(context.Background(), p, opts)
-}
-
-// RFHInstance runs RFH when the instance is the deployment problem and
-// rejects every other kind with an UnsupportedError: RFH is the
-// documented structural exception to the generic instance/evaluator
-// seam — its four phases reason about routing trees, path weights and
-// node allocation directly, none of which exist for other families.
-func RFHInstance(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, error) {
+//
+// RFH solves only the deployment problem and rejects every other kind
+// with an UnsupportedError: it is the documented structural exception
+// to the generic instance/evaluator seam — its four phases reason about
+// routing trees, path weights and node allocation directly, none of
+// which exist for other families. The context is checked at every
+// round boundary, so a cancelled run returns ctx.Err() within one round.
+func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, error) {
 	p, ok := inst.(*model.Problem)
 	if !ok {
 		return nil, unsupported("rfh", inst)
 	}
-	return RFHCtx(ctx, p, opts)
-}
-
-// RFHCtx is RFH with cancellation: the context is checked at every round
-// boundary, so a cancelled run returns ctx.Err() within one round.
-func RFHCtx(ctx context.Context, p *model.Problem, opts RFHOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -191,14 +183,4 @@ func RFHCtx(ctx context.Context, p *model.Problem, opts RFHOptions) (*Result, er
 	best.IterationCosts = costs
 	best.Evaluations = router.Settled()
 	return best, nil
-}
-
-// BasicRFH runs a single RFH round (the paper's basic algorithm).
-func BasicRFH(p *model.Problem) (*Result, error) {
-	return RFH(p, RFHOptions{Iterations: 1})
-}
-
-// IterativeRFH runs RFH with the paper's default seven iterations.
-func IterativeRFH(p *model.Problem) (*Result, error) {
-	return RFH(p, RFHOptions{Iterations: DefaultRFHIterations})
 }

@@ -6,13 +6,13 @@ import (
 	"wrsn/internal/model"
 )
 
-// GreedyInstance solves inst with the instance's own construction
+// Greedy solves inst with the instance's own construction
 // heuristic alone — the problem-family analogue of running bare RFH for
 // deployment. Instances without a native heuristic (no
 // model.SeedHeuristic implementation; the deployment problem is one,
 // its constructor being RFH itself) are rejected with an
 // UnsupportedError.
-func GreedyInstance(ctx context.Context, inst model.Instance) (*Result, error) {
+func Greedy(ctx context.Context, inst model.Instance) (*Result, error) {
 	sh, ok := inst.(model.SeedHeuristic)
 	if !ok {
 		return nil, unsupported("greedy", inst)

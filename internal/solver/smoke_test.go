@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,19 +28,19 @@ func randomProblem(t testing.TB, seed int64, side float64, n, m int) *model.Prob
 func TestSolversSmoke(t *testing.T) {
 	p := randomProblem(t, 1, 200, 8, 20)
 
-	rfh, err := BasicRFH(p)
+	rfh, err := RFH(context.Background(), p, RFHOptions{Iterations: 1})
 	if err != nil {
-		t.Fatalf("BasicRFH: %v", err)
+		t.Fatalf("basic RFH: %v", err)
 	}
-	irfh, err := IterativeRFH(p)
+	irfh, err := RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 	if err != nil {
-		t.Fatalf("IterativeRFH: %v", err)
+		t.Fatalf("iterative RFH: %v", err)
 	}
-	idb, err := IDB(p, 1)
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
 	if err != nil {
 		t.Fatalf("IDB: %v", err)
 	}
-	opt, err := Optimal(p, OptimalOptions{})
+	opt, err := Optimal(context.Background(), p, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("Optimal: %v", err)
 	}

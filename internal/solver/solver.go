@@ -7,19 +7,26 @@
 // family (the paper's joint deployment-and-routing problem, static RF
 // charger placement) through the same hot loops.
 //
-// For the deployment problem the package exposes the paper's algorithms:
+// Every algorithm has exactly one entry point, context-aware and taking
+// a model.Instance: RFH, IDB, LocalSearch, Anneal, Optimal, Auto and
+// Greedy. Cancelling the context stops the solver at its next check.
+// Where the deployment problem needs its own handling (an RFH seed, a
+// routing tree read off the evaluator), the body checks for
+// *model.Problem itself; there is no separate deployment entry point.
 //
-//   - RFH, the Routing-First Heuristic (Section V-A), in its basic
-//     (single-pass) and iterative forms — a documented structural
-//     exception that reasons about routing trees directly and therefore
-//     only solves *model.Problem (as is Heal, the repair pass).
+// For the deployment problem the package provides the paper's algorithms:
+//
+//   - RFH, the Routing-First Heuristic (Section V-A): basic RFH with
+//     Iterations 1, iterative RFH with DefaultRFHIterations. It is a
+//     documented structural exception that reasons about routing trees
+//     directly and therefore only solves *model.Problem (as is Heal,
+//     the repair pass).
 //   - IDB, the Incremental Deployment-Based heuristic (Section V-B).
 //   - Optimal, a branch-and-bound exact solver for small instances, and
 //     NaiveExact, the paper's C(M-1, N-1) exhaustive search, kept as a
 //     test oracle. Their admissible bound assumes cost is monotone
 //     non-increasing in every dimension — true for deployment, false in
-//     general — so their instance entry points reject other kinds with
-//     an UnsupportedError.
+//     general — so Optimal rejects other kinds with an UnsupportedError.
 //
 // Deployment solvers return a Result whose Solution carries a validated
 // deployment, routing tree and evaluated total recharging cost; generic
@@ -28,7 +35,6 @@
 package solver
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -90,7 +96,7 @@ func finalize(p *model.Problem, deploy model.Deployment, tree model.Tree) (*Resu
 	return &Result{Solution: model.Solution{Deploy: deploy, Tree: tree, Cost: cost}}, nil
 }
 
-// parentsProvider is the evaluator capability the deployment wrappers
+// parentsProvider is the evaluator capability the deployment results
 // use to extract the repaired shortest-path tree without a final
 // from-scratch solve (model.IncrementalEvaluator implements it).
 type parentsProvider interface {
@@ -101,7 +107,7 @@ type parentsProvider interface {
 // deployment Result: the routing tree is read off ev's repaired
 // shortest-path state, then the solution is re-evaluated from scratch.
 // This is the deployment-specific tail shared by every generic search —
-// the one place the solvers' deployment wrappers touch routing state.
+// the one place the search solvers touch routing state.
 func finishDeployment(p *model.Problem, ev model.Evaluator, cur []int, evaluations int64) (*Result, error) {
 	bp, ok := ev.(parentsProvider)
 	if !ok {
@@ -121,6 +127,16 @@ func finishDeployment(p *model.Problem, ev model.Evaluator, cur []int, evaluatio
 	}
 	res.Evaluations = evaluations
 	return res, nil
+}
+
+// finish assembles the Result for a search loop's final vector:
+// finishDeployment for the deployment problem, finishInstance for every
+// other kind.
+func finish(inst model.Instance, ev model.Evaluator, cur []int, evaluations int64) (*Result, error) {
+	if p, ok := inst.(*model.Problem); ok {
+		return finishDeployment(p, ev, cur, evaluations)
+	}
+	return finishInstance(inst, cur, evaluations)
 }
 
 // finishInstance turns a search loop's final vector into a generic
@@ -160,7 +176,7 @@ type deltaEvaluator struct {
 	have  bool
 }
 
-func newDeltaEvaluator(ctx context.Context, inst model.Instance) (*deltaEvaluator, error) {
+func newDeltaEvaluator(inst model.Instance) (*deltaEvaluator, error) {
 	ev, err := inst.NewEvaluator()
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -20,7 +21,7 @@ func TestHeuristicsNeverBeatExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d NaiveExact: %v", seed, err)
 		}
-		opt, err := Optimal(p, OptimalOptions{})
+		opt, err := Optimal(context.Background(), p, OptimalOptions{})
 		if err != nil {
 			t.Fatalf("seed %d Optimal: %v", seed, err)
 		}
@@ -32,10 +33,12 @@ func TestHeuristicsNeverBeatExhaustive(t *testing.T) {
 		t.Logf("seed %d: optimum %.4f; B&B %d evaluations vs exhaustive %d",
 			seed, naive.Cost, opt.Evaluations, naive.Evaluations)
 		for name, solve := range map[string]func() (*Result, error){
-			"basicRFH": func() (*Result, error) { return BasicRFH(p) },
-			"iterRFH":  func() (*Result, error) { return IterativeRFH(p) },
-			"IDB1":     func() (*Result, error) { return IDB(p, 1) },
-			"IDB2":     func() (*Result, error) { return IDB(p, 2) },
+			"basicRFH": func() (*Result, error) { return RFH(context.Background(), p, RFHOptions{Iterations: 1}) },
+			"iterRFH": func() (*Result, error) {
+				return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
+			},
+			"IDB1": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}) },
+			"IDB2": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 2, Workers: 1}) },
 		} {
 			res, err := solve()
 			if err != nil {
@@ -53,11 +56,13 @@ func TestHeuristicsNeverBeatExhaustive(t *testing.T) {
 func TestSolutionsAreValid(t *testing.T) {
 	p := randomProblem(t, 2, 200, 12, 40)
 	for name, solve := range map[string]func() (*Result, error){
-		"basicRFH": func() (*Result, error) { return BasicRFH(p) },
-		"iterRFH":  func() (*Result, error) { return IterativeRFH(p) },
-		"IDB1":     func() (*Result, error) { return IDB(p, 1) },
-		"IDB3":     func() (*Result, error) { return IDB(p, 3) },
-		"optimal":  func() (*Result, error) { return Optimal(p, OptimalOptions{}) },
+		"basicRFH": func() (*Result, error) { return RFH(context.Background(), p, RFHOptions{Iterations: 1}) },
+		"iterRFH": func() (*Result, error) {
+			return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
+		},
+		"IDB1":    func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}) },
+		"IDB3":    func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 3, Workers: 1}) },
+		"optimal": func() (*Result, error) { return Optimal(context.Background(), p, OptimalOptions{}) },
 	} {
 		res, err := solve()
 		if err != nil {
@@ -79,7 +84,7 @@ func TestSolutionsAreValid(t *testing.T) {
 
 func TestRFHIterationCosts(t *testing.T) {
 	p := randomProblem(t, 3, 400, 60, 240)
-	res, err := RFH(p, RFHOptions{Iterations: 9})
+	res, err := RFH(context.Background(), p, RFHOptions{Iterations: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +108,7 @@ func TestRFHIterationCosts(t *testing.T) {
 
 func TestRFHDefaultsToOneIteration(t *testing.T) {
 	p := randomProblem(t, 4, 200, 8, 16)
-	res, err := RFH(p, RFHOptions{})
+	res, err := RFH(context.Background(), p, RFHOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +120,10 @@ func TestRFHDefaultsToOneIteration(t *testing.T) {
 func TestSolversDeterministic(t *testing.T) {
 	p := randomProblem(t, 5, 300, 20, 60)
 	for name, solve := range map[string]func() (*Result, error){
-		"iterRFH": func() (*Result, error) { return IterativeRFH(p) },
-		"IDB1":    func() (*Result, error) { return IDB(p, 1) },
+		"iterRFH": func() (*Result, error) {
+			return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
+		},
+		"IDB1": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}) },
 	} {
 		a, err := solve()
 		if err != nil {
@@ -141,7 +148,7 @@ func TestSolversDeterministic(t *testing.T) {
 func TestIDBDeltaVariants(t *testing.T) {
 	p := randomProblem(t, 6, 200, 8, 23) // M-N = 15, not divisible by 2 or 4
 	for _, delta := range []int{1, 2, 4, 15, 100} {
-		res, err := IDB(p, delta)
+		res, err := IDB(context.Background(), p, IDBOptions{Delta: delta, Workers: 1})
 		if err != nil {
 			t.Fatalf("delta=%d: %v", delta, err)
 		}
@@ -149,7 +156,7 @@ func TestIDBDeltaVariants(t *testing.T) {
 			t.Errorf("delta=%d deployed %d nodes", delta, res.Deploy.Sum())
 		}
 	}
-	if _, err := IDB(p, 0); err == nil {
+	if _, err := IDB(context.Background(), p, IDBOptions{Delta: 0, Workers: 1}); err == nil {
 		t.Error("IDB accepted delta = 0")
 	}
 }
@@ -158,11 +165,11 @@ func TestIDBExactWhenBudgetCoversSearch(t *testing.T) {
 	// With M = N (no spare nodes) every solver must agree exactly: the
 	// deployment is forced, so only routing matters.
 	p := randomProblem(t, 7, 200, 9, 9)
-	idb, err := IDB(p, 1)
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Optimal(p, OptimalOptions{})
+	opt, err := Optimal(context.Background(), p, OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,18 +180,18 @@ func TestIDBExactWhenBudgetCoversSearch(t *testing.T) {
 
 func TestOptimalBudget(t *testing.T) {
 	p := randomProblem(t, 8, 200, 9, 27)
-	if _, err := Optimal(p, OptimalOptions{MaxEvaluations: 3}); !errors.Is(err, ErrSearchBudget) {
+	if _, err := Optimal(context.Background(), p, OptimalOptions{MaxEvaluations: 3}); !errors.Is(err, ErrSearchBudget) {
 		t.Errorf("tiny budget error = %v, want ErrSearchBudget", err)
 	}
 }
 
 func TestOptimalAcceptsIncumbent(t *testing.T) {
 	p := randomProblem(t, 9, 200, 8, 20)
-	seed, err := IDB(p, 1)
+	seed, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Optimal(p, OptimalOptions{Incumbent: seed})
+	opt, err := Optimal(context.Background(), p, OptimalOptions{Incumbent: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +205,9 @@ func TestSolversRejectInvalidProblem(t *testing.T) {
 	bad := *p
 	bad.Nodes = 3 // fewer nodes than posts
 	for name, solve := range map[string]func() error{
-		"RFH":     func() error { _, err := BasicRFH(&bad); return err },
-		"IDB":     func() error { _, err := IDB(&bad, 1); return err },
-		"Optimal": func() error { _, err := Optimal(&bad, OptimalOptions{}); return err },
+		"RFH":     func() error { _, err := RFH(context.Background(), &bad, RFHOptions{Iterations: 1}); return err },
+		"IDB":     func() error { _, err := IDB(context.Background(), &bad, IDBOptions{Delta: 1, Workers: 1}); return err },
+		"Optimal": func() error { _, err := Optimal(context.Background(), &bad, OptimalOptions{}); return err },
 		"Naive":   func() error { _, err := NaiveExact(&bad); return err },
 	} {
 		if err := solve(); err == nil {
@@ -217,11 +224,11 @@ func TestPaperScaleBehaviour(t *testing.T) {
 		t.Skip("paper-scale run")
 	}
 	p := randomProblem(t, 42, 500, 100, 600)
-	rfh, err := RFH(p, RFHOptions{Iterations: 7})
+	rfh, err := RFH(context.Background(), p, RFHOptions{Iterations: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idb, err := IDB(p, 1)
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +253,11 @@ func TestPaperScaleBehaviour(t *testing.T) {
 
 func TestAutoMatchesOptimalOnSmall(t *testing.T) {
 	p := randomProblem(t, 30, 150, 6, 14)
-	auto, err := Auto(p)
+	auto, err := Auto(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Optimal(p, OptimalOptions{})
+	opt, err := Optimal(context.Background(), p, OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +268,11 @@ func TestAutoMatchesOptimalOnSmall(t *testing.T) {
 
 func TestAutoUsesIDBOnMidSize(t *testing.T) {
 	p := randomProblem(t, 31, 300, 25, 100)
-	auto, err := Auto(p)
+	auto, err := Auto(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idb, err := IDB(p, 1)
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +286,11 @@ func TestAutoNeverWorseThanRFHAtScale(t *testing.T) {
 		t.Skip("large instance")
 	}
 	p := randomProblem(t, 42, 500, 100, 5200) // (M-N)*N ~ 510k: falls to RFH+polish
-	auto, err := Auto(p)
+	auto, err := Auto(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rfh, err := IterativeRFH(p)
+	rfh, err := RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +302,11 @@ func TestAutoNeverWorseThanRFHAtScale(t *testing.T) {
 func TestRFHPhase1WeightAblation(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		p := randomProblem(t, seed+120, 300, 30, 120)
-		txOnly, err := RFH(p, RFHOptions{Iterations: 7})
+		txOnly, err := RFH(context.Background(), p, RFHOptions{Iterations: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		withRx, err := RFH(p, RFHOptions{Iterations: 7, IncludeRxInPhase1: true})
+		withRx, err := RFH(context.Background(), p, RFHOptions{Iterations: 7, IncludeRxInPhase1: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -159,27 +159,35 @@ func Evaluate(p *Problem, deploy Deployment, tree Tree) (float64, error) {
 // Solve picks the strongest solver the instance's size affords: exact
 // branch-and-bound for small networks, IDB for mid-size, iterative RFH
 // (locally polished) for large ones.
-func Solve(p *Problem) (*Result, error) { return solver.Auto(p) }
+func Solve(p *Problem) (*Result, error) { return solver.Auto(context.Background(), p) }
 
 // SolveRFH runs the Routing-First Heuristic with explicit options.
-func SolveRFH(p *Problem, opts RFHOptions) (*Result, error) { return solver.RFH(p, opts) }
+func SolveRFH(p *Problem, opts RFHOptions) (*Result, error) {
+	return solver.RFH(context.Background(), p, opts)
+}
 
 // SolveBasicRFH runs a single RFH round (the paper's basic algorithm).
-func SolveBasicRFH(p *Problem) (*Result, error) { return solver.BasicRFH(p) }
+func SolveBasicRFH(p *Problem) (*Result, error) {
+	return solver.RFH(context.Background(), p, RFHOptions{Iterations: 1})
+}
 
 // SolveIterativeRFH runs RFH with the paper's default seven iterations —
 // the recommended solver for large networks.
-func SolveIterativeRFH(p *Problem) (*Result, error) { return solver.IterativeRFH(p) }
+func SolveIterativeRFH(p *Problem) (*Result, error) {
+	return solver.RFH(context.Background(), p, RFHOptions{Iterations: solver.DefaultRFHIterations})
+}
 
 // SolveIDB runs the Incremental Deployment-Based heuristic with the given
 // per-round increment delta (the paper compares with delta = 1). Slower
 // than RFH but typically a few percent cheaper.
-func SolveIDB(p *Problem, delta int) (*Result, error) { return solver.IDB(p, delta) }
+func SolveIDB(p *Problem, delta int) (*Result, error) {
+	return solver.IDB(context.Background(), p, IDBOptions{Delta: delta, Workers: 1})
+}
 
 // SolveOptimal computes the exact optimum by branch-and-bound; practical
 // for small instances only (roughly N <= 12, M <= 40).
 func SolveOptimal(p *Problem, opts OptimalOptions) (*Result, error) {
-	return solver.Optimal(p, opts)
+	return solver.Optimal(context.Background(), p, opts)
 }
 
 // BestTreeFor returns the cheapest routing tree for a fixed deployment
@@ -230,13 +238,13 @@ type IDBOptions = solver.IDBOptions
 // simulated annealing over single-node moves — unlike local search it can
 // escape 1-move-optimal basins, and it never returns worse than its seed.
 func SolveAnneal(p *Problem, opts AnnealOptions) (*Result, error) {
-	return solver.Anneal(p, opts)
+	return solver.Anneal(context.Background(), p, opts)
 }
 
 // SolveIDBParallel is IDB with a concurrent candidate-evaluation pool;
 // results are bit-identical to SolveIDB.
 func SolveIDBParallel(p *Problem, opts IDBOptions) (*Result, error) {
-	return solver.IDBWithOptions(p, opts)
+	return solver.IDB(context.Background(), p, opts)
 }
 
 // GenSpec parameterises GenerateProblem.
@@ -266,7 +274,7 @@ func ProvisionSpares(planned Deployment, survive, confidence float64) (Deploymen
 // exact-evaluated single-node moves until 1-move-optimal — an extension
 // beyond the paper that typically closes the RFH-to-optimal gap.
 func SolveLocalSearch(p *Problem, opts LocalSearchOptions) (*Result, error) {
-	return solver.LocalSearch(p, opts)
+	return solver.LocalSearch(context.Background(), p, opts)
 }
 
 // SolveInstance runs the strongest generic solver pipeline (IDB seeding
@@ -274,14 +282,14 @@ func SolveLocalSearch(p *Problem, opts LocalSearchOptions) (*Result, error) {
 // families beyond deployment. For deployment instances it matches Solve;
 // for placement instances the result's Vector holds chargers per site.
 func SolveInstance(inst Instance) (*Result, error) {
-	return solver.AutoInstance(context.Background(), inst)
+	return solver.Auto(context.Background(), inst)
 }
 
 // SolveGreedyPlacement runs the placement family's native construction
 // heuristic: install the best-paying charger until none pays for itself.
 // Fast and deterministic; SolveInstance typically improves on it.
 func SolveGreedyPlacement(inst *PlacementInstance) (*Result, error) {
-	return solver.GreedyInstance(context.Background(), inst)
+	return solver.Greedy(context.Background(), inst)
 }
 
 // PlacementFromProblem derives a charger-placement instance from a
