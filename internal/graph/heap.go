@@ -1,16 +1,31 @@
 package graph
 
-import "fmt"
-
 // IndexedMinHeap is a binary min-heap over the integer keys 0..n-1 with
 // float64 priorities and O(log n) decrease-key, the classic companion
-// structure for Dijkstra. The zero value is not usable; construct with
-// NewIndexedMinHeap.
+// structure for Dijkstra. Entries are ordered by (priority, key), a
+// strict total order, so the pop sequence is fully determined by the
+// pushes — independent of the heap's internal layout. The zero value is
+// not usable; construct with NewIndexedMinHeap.
 type IndexedMinHeap struct {
-	prio []float64 // prio[key] = current priority of key (valid while key is in the heap)
-	heap []int     // heap[i] = key at heap slot i
-	pos  []int     // pos[key] = slot of key in heap, or -1 when absent
-	seen []bool    // seen[key] = key has been pushed at least once (guards Priority)
+	// heap[i] is the entry at heap slot i. Priorities live in the slots
+	// themselves, so a comparison reads one contiguous entry instead of
+	// chasing the key into a separate priority array.
+	heap []heapEntry
+	pos  []int // pos[key] = slot of key in heap, or -1 when absent
+}
+
+type heapEntry struct {
+	prio float64
+	key  int
+}
+
+// before reports whether a sorts ahead of b: lower priority first,
+// ties broken on key for a fully deterministic pop order.
+func (a heapEntry) before(b heapEntry) bool {
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.key < b.key
 }
 
 // NewIndexedMinHeap returns an empty heap over keys 0..n-1.
@@ -20,10 +35,8 @@ func NewIndexedMinHeap(n int) *IndexedMinHeap {
 		pos[i] = -1
 	}
 	return &IndexedMinHeap{
-		prio: make([]float64, n),
-		heap: make([]int, 0, n),
+		heap: make([]heapEntry, 0, n),
 		pos:  pos,
-		seen: make([]bool, n),
 	}
 }
 
@@ -33,46 +46,29 @@ func (h *IndexedMinHeap) Len() int { return len(h.heap) }
 // Contains reports whether key is currently in the heap.
 func (h *IndexedMinHeap) Contains(key int) bool { return h.pos[key] >= 0 }
 
-// Priority returns the priority most recently set for key. It panics for
-// a key that has never been pushed since the heap was constructed: the
-// backing slot would otherwise read as a stale 0, silently
-// indistinguishable from a real zero priority. After a Reset, priorities
-// of keys pushed before the reset remain readable (they are "most
-// recently set" values, not live heap state).
-func (h *IndexedMinHeap) Priority(key int) float64 {
-	if !h.seen[key] {
-		panic(fmt.Sprintf("graph: Priority(%d) read for a key never pushed", key))
-	}
-	return h.prio[key]
-}
-
 // Push inserts key with the given priority, or lowers/raises its priority
 // if already present (a combined insert/update, convenient for Dijkstra's
 // relax step).
 func (h *IndexedMinHeap) Push(key int, priority float64) {
-	h.seen[key] = true
-	if h.pos[key] >= 0 {
-		old := h.prio[key]
-		h.prio[key] = priority
+	if i := h.pos[key]; i >= 0 {
+		old := h.heap[i].prio
+		h.heap[i].prio = priority
 		if priority < old {
-			h.siftUp(h.pos[key])
+			h.siftUp(i)
 		} else if priority > old {
-			h.siftDown(h.pos[key])
+			h.siftDown(i)
 		}
 		return
 	}
-	h.prio[key] = priority
-	h.pos[key] = len(h.heap)
-	h.heap = append(h.heap, key)
+	h.heap = append(h.heap, heapEntry{prio: priority, key: key})
 	h.siftUp(len(h.heap) - 1)
 }
 
 // Reset empties the heap in O(len) so it can be reused for a fresh run
-// without reallocating. Priorities of previously popped keys become
-// meaningless after a reset.
+// without reallocating.
 func (h *IndexedMinHeap) Reset() {
-	for _, k := range h.heap {
-		h.pos[k] = -1
+	for _, e := range h.heap {
+		h.pos[e.key] = -1
 	}
 	h.heap = h.heap[:0]
 }
@@ -80,59 +76,61 @@ func (h *IndexedMinHeap) Reset() {
 // Pop removes and returns the key with the minimum priority and that
 // priority. It must not be called on an empty heap.
 func (h *IndexedMinHeap) Pop() (key int, priority float64) {
-	key = h.heap[0]
-	priority = h.prio[key]
+	top := h.heap[0]
+	h.pos[top.key] = -1
 	last := len(h.heap) - 1
-	h.swap(0, last)
-	h.heap = h.heap[:last]
-	h.pos[key] = -1
 	if last > 0 {
+		h.heap[0] = h.heap[last]
+		h.heap = h.heap[:last]
 		h.siftDown(0)
+	} else {
+		h.heap = h.heap[:0]
 	}
-	return key, priority
+	return top.key, top.prio
 }
 
-func (h *IndexedMinHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
-func (h *IndexedMinHeap) less(i, j int) bool {
-	pi, pj := h.prio[h.heap[i]], h.prio[h.heap[j]]
-	if pi != pj {
-		return pi < pj
-	}
-	// Tie-break on key for fully deterministic pop order.
-	return h.heap[i] < h.heap[j]
-}
-
+// siftUp moves the entry at slot i towards the root, shifting each
+// parent it passes down one level and writing the entry once at its
+// final slot.
 func (h *IndexedMinHeap) siftUp(i int) {
+	hp := h.heap
+	e := hp[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
+		p := hp[parent]
+		if !e.before(p) {
+			break
 		}
-		h.swap(i, parent)
+		hp[i] = p
+		h.pos[p.key] = i
 		i = parent
 	}
+	hp[i] = e
+	h.pos[e.key] = i
 }
 
+// siftDown moves the entry at slot i towards the leaves, shifting the
+// smaller child up at each level and writing the entry once at its
+// final slot.
 func (h *IndexedMinHeap) siftDown(i int) {
-	n := len(h.heap)
+	hp := h.heap
+	n := len(hp)
+	e := hp[i]
 	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && h.less(left, smallest) {
-			smallest = left
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if right < n && h.less(right, smallest) {
-			smallest = right
+		if r := c + 1; r < n && hp[r].before(hp[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !hp[c].before(e) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		hp[i] = hp[c]
+		h.pos[hp[i].key] = i
+		i = c
 	}
+	hp[i] = e
+	h.pos[e.key] = i
 }

@@ -56,20 +56,30 @@ type BoundedProber interface {
 
 // ProbeCache is an optional Evaluator capability for solvers that
 // re-scan a fixed candidate set between commits (IDB rounds,
-// local-search sweeps): each candidate's pending probe can be
-// snapshotted under a stable slot id, re-priced bit-exactly while no
-// committed move touched anything it read, and promoted straight to
-// the committed state when it wins a round. Slots invalidate
-// automatically on intersecting Commits and on every full Cost; a
-// CachedCost/CommitCached miss (ok=false) means the candidate must be
-// re-probed through the ordinary protocol. Implementations may decline
-// to cache (every lookup misses) — the capability licenses reuse, it
-// never changes results: cached answers are bit-identical to
-// re-probing, which the differential suites pin.
+// local-search sweeps): each candidate's probe is snapshotted under a
+// stable slot id, re-priced bit-exactly while no committed move touched
+// anything it read, and promoted straight to the committed state when
+// it wins a round.
+//
+// CostDeltaCached(id, moves, limit) is a fresh probe that snapshots its
+// repair under slot id, with BoundedProber's contract: pruned=true
+// guarantees the exact cost is >= limit and leaves the evaluator idle;
+// pruned=false leaves the probe pending (Commit or Revert it) with its
+// exact cost. CachedCostBounded(id, limit) re-prices a slot under the
+// same one-way guarantee; ok=false is a miss (invalidated by an
+// intersecting Commit or a full Cost, or never cached) and the
+// candidate must be re-probed. A limit of +Inf prices exactly. A
+// CommitCached miss means the caller commits through the ordinary
+// protocol instead.
+//
+// Implementations may decline to cache (every lookup misses) and may
+// price exactly without ever pruning — the capability licenses reuse
+// and early answers, it never changes results: every returned cost is
+// bit-identical to re-probing, which the differential suites pin.
 type ProbeCache interface {
 	EnableProbeCache(slots int)
-	CacheProbe(id int)
-	CachedCost(id int) (cost float64, ok bool)
+	CostDeltaCached(id int, moves []Move, limit float64) (cost float64, pruned bool, err error)
+	CachedCostBounded(id int, limit float64) (cost float64, pruned, ok bool)
 	CommitCached(id int) (cost float64, ok bool)
 }
 
@@ -87,6 +97,10 @@ func EvaluatorFeatures() map[string]bool {
 		// Branch-and-bound rejects bound probes from the parent node's
 		// saved distances before applying any move (PruneByFloor).
 		"floor_bounds": true,
+		// IDB and local search prune candidates that cannot win from
+		// their repair patch's lower bound, skipping the O(N) cost fold
+		// (CostDeltaCached, CachedCostBounded).
+		"bounded_candidates": true,
 	}
 }
 

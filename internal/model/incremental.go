@@ -183,16 +183,23 @@ type EvalStats struct {
 	// Fallbacks counts probes that fell back to a full re-run because
 	// the dirty region spanned too much of the graph.
 	Fallbacks int64
-	// BoundedPrunes counts CostDeltaBounded probes abandoned early
-	// because a partial-settle lower bound already reached the caller's
-	// limit.
+	// BoundedPrunes counts probes abandoned mid-settle because a
+	// partial-settle lower bound already reached the caller's limit:
+	// CostDeltaBounded, and CostDeltaCached in the scan-min regime.
 	BoundedPrunes int64
+	// PricePrunes counts answers of CostDeltaCached (fresh journaled
+	// probes) and CachedCostBounded (cached re-prices) that a repair
+	// patch's lower bound proved at or above the caller's limit, so the
+	// O(N) totalCost fold never ran. A pruned fresh probe still ran its
+	// repair and counts in Probes and Repairs; a pruned re-price counts
+	// in CacheHits.
+	PricePrunes int64
 	// FloorPrunes counts PruneByFloor calls that proved a deployment
 	// reaches the caller's limit from a saved Floor, before any move was
 	// applied. They are not probes and do not count in Probes.
 	FloorPrunes int64
-	// CacheHits counts candidates re-priced from the probe cache
-	// without a repair (CachedCost).
+	// CacheHits counts candidates answered from the probe cache
+	// without a repair (CachedCost, CachedCostBounded), pruned or not.
 	CacheHits int64
 	// CachePromotes counts commits replayed from a cached probe's patch
 	// instead of a second repair (CommitCached).
@@ -410,22 +417,35 @@ func (ev *IncrementalEvaluator) CostDeltaBounded(moves []Move, limit float64) (f
 }
 
 func (ev *IncrementalEvaluator) costDeltaLimited(moves []Move, limit float64) (float64, bool, error) {
+	if err := ev.applyMoves(moves); err != nil {
+		return 0, false, err
+	}
+	if limit < inf && ev.n+1 <= tinyVerts {
+		return ev.boundedRepairAndPrice(limit)
+	}
+	ev.repair()
+	return ev.pricePending()
+}
+
+// applyMoves opens a probe: it applies moves to the committed counts,
+// journaling one record per distinct post with its old and new
+// efficiency. Distances and weights are untouched until the repair.
+func (ev *IncrementalEvaluator) applyMoves(moves []Move) error {
 	if !ev.have {
-		return 0, false, errNoBase
+		return errNoBase
 	}
 	if ev.state != stateIdle {
-		return 0, false, errPendingProbe
+		return errPendingProbe
 	}
 	ev.stats.Probes++
 
-	// Apply the moves, journaling one record per distinct post.
 	ev.effLog = ev.effLog[:0]
 	ev.epoch++
 	e0 := ev.epoch
 	for _, mv := range moves {
 		if mv.Post < 0 || mv.Post >= ev.n {
 			ev.rollbackMoves()
-			return 0, false, fmt.Errorf("model: move targets post %d of %d", mv.Post, ev.n)
+			return fmt.Errorf("model: move targets post %d of %d", mv.Post, ev.n)
 		}
 		if ev.mark[mv.Post] != e0 {
 			ev.mark[mv.Post] = e0
@@ -444,16 +464,17 @@ func (ev *IncrementalEvaluator) costDeltaLimited(moves []Move, limit float64) (f
 		e, err := ev.netEff(newM)
 		if err != nil {
 			ev.rollbackMoves()
-			return 0, false, fmt.Errorf("model: post %d: %w", rec.post, err)
+			return fmt.Errorf("model: post %d: %w", rec.post, err)
 		}
 		rec.newEff = e
 	}
+	return nil
+}
 
-	if limit < inf && ev.n+1 <= tinyVerts {
-		return ev.boundedRepairAndPrice(limit)
-	}
-
-	cost, err := ev.repairAndPrice()
+// pricePending finishes a repaired probe: the fixed-order totalCost
+// fold, leaving the probe pending until Commit or Revert.
+func (ev *IncrementalEvaluator) pricePending() (float64, bool, error) {
+	cost, err := totalCost(ev.p, ev.n, ev.dist, ev.eff, ev.rates)
 	if err != nil {
 		// Disconnection cannot arise from deployment changes (the edge
 		// set is range-based and fixed), so only defensive paths land
@@ -466,9 +487,10 @@ func (ev *IncrementalEvaluator) costDeltaLimited(moves []Move, limit float64) (f
 	return cost, false, nil
 }
 
-// boundedRepairAndPrice is repairAndPrice's limit-aware tiny-graph
-// variant: it applies the probe's efficiency changes, snapshots the
-// committed solution, and re-settles by the bounded scan-min walk. On
+// boundedRepairAndPrice is repair's limit-aware tiny-graph variant,
+// followed by pricing: it applies the probe's efficiency changes,
+// snapshots the committed solution, and re-settles by the bounded
+// scan-min walk. On
 // prune it rolls the evaluator all the way back to idle; on completion
 // it leaves the probe pending exactly as CostDelta would.
 func (ev *IncrementalEvaluator) boundedRepairAndPrice(limit float64) (float64, bool, error) {
@@ -509,16 +531,9 @@ func (ev *IncrementalEvaluator) boundedRepairAndPrice(limit float64) (float64, b
 		return 0, true, nil
 	}
 	if changed {
-		ev.stats.Fallbacks++ // parity with repairAndPrice's tiny path
+		ev.stats.Fallbacks++ // parity with repair's tiny path
 	}
-	cost, err := totalCost(ev.p, ev.n, ev.dist, ev.eff, ev.rates)
-	if err != nil {
-		ev.have = false
-		return 0, false, err
-	}
-	ev.state = stateProbed
-	ev.pendingCost = cost
-	return cost, false, nil
+	return ev.pricePending()
 }
 
 // Commit accepts the last probe as the committed deployment.
@@ -541,6 +556,13 @@ func (ev *IncrementalEvaluator) Revert() error {
 	if ev.state != stateProbed {
 		return errNoProbe
 	}
+	ev.revertProbe()
+	return nil
+}
+
+// revertProbe is Revert's body, also run on a probe that was repaired
+// but never left pending (CostDeltaCached's prune).
+func (ev *IncrementalEvaluator) revertProbe() {
 	if ev.full {
 		copy(ev.dist, ev.distSnap)
 		copy(ev.par, ev.parSnap)
@@ -560,7 +582,6 @@ func (ev *IncrementalEvaluator) Revert() error {
 	ev.journal = ev.journal[:0]
 	ev.effLog = ev.effLog[:0]
 	ev.state = stateIdle
-	return nil
 }
 
 // BestParents returns a parent vector realising the minimum cost of m
@@ -631,9 +652,9 @@ func (ev *IncrementalEvaluator) saveDist(v int) {
 	ev.journal = append(ev.journal, distSave{v: int32(v), par: int32(ev.par[v]), dist: ev.dist[v]})
 }
 
-// repairAndPrice applies the probe's efficiency changes, repairs the
-// shortest-path solution, and prices the result.
-func (ev *IncrementalEvaluator) repairAndPrice() (float64, error) {
+// repair applies the probe's efficiency changes and repairs the
+// shortest-path solution; pricing is left to the caller.
+func (ev *IncrementalEvaluator) repair() {
 	ev.ups = ev.ups[:0]
 	ev.downs = ev.downs[:0]
 	for _, rec := range ev.effLog {
@@ -651,7 +672,7 @@ func (ev *IncrementalEvaluator) repairAndPrice() (float64, error) {
 	if len(ev.ups) == 0 && len(ev.downs) == 0 {
 		// No edge weight changed (e.g. a move past a saturating gain's
 		// cap): the standing solution already prices this deployment.
-		return totalCost(ev.p, ev.n, ev.dist, ev.eff, ev.rates)
+		return
 	}
 	if ev.n+1 <= tinyVerts {
 		// Tiny graph: a full scan-min re-settle beats the local repair
@@ -660,7 +681,6 @@ func (ev *IncrementalEvaluator) repairAndPrice() (float64, error) {
 	} else if !ev.repairDist() {
 		ev.fullRecompute()
 	}
-	return totalCost(ev.p, ev.n, ev.dist, ev.eff, ev.rates)
 }
 
 // repairDist repairs dist/par in place for the efficiency changes in
@@ -745,8 +765,8 @@ func (ev *IncrementalEvaluator) repairDist() bool {
 		}
 	}
 
-	// Propagate to fixpoint: standard lazy-deletion Dijkstra over the
-	// seeded frontier, relaxing with the maintained weight components so
+	// Propagate to fixpoint: decrease-key Dijkstra over the seeded
+	// frontier, relaxing with the maintained weight components so
 	// repaired values are built by the same operations as a from-scratch
 	// run.
 	for q.Len() > 0 {

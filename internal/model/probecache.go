@@ -35,6 +35,15 @@ package model
 //     returned float is bit-identical to re-probing — the differential
 //     suite pins this. Costs still shift between rounds as the base
 //     moves under the unmasked vertices; only the repair is skipped.
+//   - Bounded pricing. CostDeltaCached (a fresh probe plus its
+//     snapshot) and CachedCostBounded (a cached re-price) take the
+//     caller's limit: the committed cost minus the patch's delta,
+//     Σ rates[v]·(committed[v] − new[v]) over its distinct vertices,
+//     less a float-error margin (patchBound), is a rigorous lower bound
+//     on the candidate's exact cost. When it reaches limit+boundedSlack
+//     the answer is pruned=true in O(|patch|) and the O(N) fold is
+//     skipped; otherwise the fold runs as above, so every returned cost
+//     is still bit-identical. A pruned fresh probe keeps its snapshot.
 //   - CommitCached(id) promotes a still-active slot straight to the
 //     committed state — the probe-promoting commit: the winner of a
 //     round was already repaired once during the scan, and replaying
@@ -42,7 +51,7 @@ package model
 //
 // The cache is disabled when the problem prices a deployment-wide
 // overhead term: CachedCost reads no efficiencies, which is only exact
-// when totalCost doesn't either.
+// when totalCost doesn't either (nor is the patch bound).
 type probeSlot struct {
 	active bool
 	patch  []distPatch
@@ -99,19 +108,71 @@ func (ev *IncrementalEvaluator) CacheProbe(id int) {
 	if ev.slots == nil || id < 0 || id >= len(ev.slots) {
 		return
 	}
-	s := &ev.slots[id]
-	s.active = false
 	if ev.state != stateProbed || ev.full {
+		ev.slots[id].active = false
 		return
 	}
-	if len(s.mask) < ev.slotWords {
-		s.mask = make([]uint64, ev.slotWords)
+	ev.snapshotPatch(id)
+}
+
+// CostDeltaCached prices the committed deployment with moves applied
+// and snapshots the repair under slot id, as CostDelta followed by
+// CacheProbe would, but answers "cost, or provably >= limit": a
+// journaled repair's exact cost is the committed cost minus its patch
+// delta, so when patchBound proves it at or above limit+boundedSlack
+// the probe is reverted without the O(N) totalCost fold and
+// pruned=true returns with the evaluator idle (BoundedProber's
+// contract). The slot keeps the snapshot either way, so the next round
+// re-prices the candidate from the cache instead of re-repairing it.
+// Unpruned, the probe is pending and its cost is bit-identical to
+// CostDelta's. limit=+Inf prices exactly. The scan-min regime
+// (n+1 <= tinyVerts) uses CostDeltaBounded's partial-settle exit; a
+// problem with an overhead term (the cache is disabled, and the patch
+// says nothing about the overhead) and a full-recompute fallback price
+// exactly.
+func (ev *IncrementalEvaluator) CostDeltaCached(id int, moves []Move, limit float64) (float64, bool, error) {
+	if ev.n+1 <= tinyVerts || ev.p.HasOverhead() {
+		cost, pruned, err := ev.costDeltaLimited(moves, limit)
+		if err == nil {
+			ev.CacheProbe(id) // clears the slot unless a journaled probe is pending
+		}
+		return cost, pruned, err
 	}
-	for i := range s.mask {
-		s.mask[i] = 0
+	if err := ev.applyMoves(moves); err != nil {
+		return 0, false, err
 	}
-	s.patch = s.patch[:0]
-	s.effs = append(s.effs[:0], ev.effLog...)
+	ev.repair()
+	if ev.full {
+		ev.CacheProbe(id) // clears the slot: a full recompute has no patch
+		return ev.pricePending()
+	}
+	delta, mass := ev.snapshotPatch(id)
+	if limit < inf && ev.patchBound(delta, mass) >= limit+boundedSlack {
+		ev.revertProbe()
+		ev.stats.PricePrunes++
+		return 0, true, nil
+	}
+	return ev.pricePending()
+}
+
+// snapshotPatch walks the pending journaled probe's first-seen journal
+// entry per written vertex — which holds the vertex's committed value —
+// and records the patch under slot id when the cache holds that slot.
+// It returns the patch delta Σ rates[v]·(committed[v] − new[v]) and
+// mass Σ rates[v]·(committed[v] + new[v]) for patchBound.
+func (ev *IncrementalEvaluator) snapshotPatch(id int) (delta, mass float64) {
+	var s *probeSlot
+	if ev.slots != nil && id >= 0 && id < len(ev.slots) {
+		s = &ev.slots[id]
+		if len(s.mask) < ev.slotWords {
+			s.mask = make([]uint64, ev.slotWords)
+		}
+		for i := range s.mask {
+			s.mask[i] = 0
+		}
+		s.patch = s.patch[:0]
+		s.effs = append(s.effs[:0], ev.effLog...)
+	}
 	ev.epoch++
 	ep := ev.epoch
 	for _, j := range ev.journal {
@@ -120,14 +181,51 @@ func (ev *IncrementalEvaluator) CacheProbe(id int) {
 			continue
 		}
 		ev.mark[v] = ep
-		s.patch = append(s.patch, distPatch{v: j.v, par: int32(ev.par[v]), dist: ev.dist[v]})
-		s.mask[v>>6] |= 1 << uint(v&63)
+		old, cur, r := j.dist, ev.dist[v], ev.rates[v]
+		delta += r * (old - cur)
+		mass += r * (old + cur)
+		if s != nil {
+			s.patch = append(s.patch, distPatch{v: j.v, par: int32(ev.par[v]), dist: cur})
+			s.mask[v>>6] |= 1 << uint(v&63)
+		}
 	}
-	for i := range s.effs {
-		p := s.effs[i].post
-		s.mask[p>>6] |= 1 << uint(p&63)
+	if s != nil {
+		for i := range s.effs {
+			p := s.effs[i].post
+			s.mask[p>>6] |= 1 << uint(p&63)
+		}
+		s.active = true
 	}
-	s.active = true
+	return delta, mass
+}
+
+// patchMarginScale sets patchBound's float-error margin at
+// (n+2)·2⁻⁴⁰·(C0 + mass), about 4096× the derived worst-case error
+// 2.0001·(n+2)·2⁻⁵³·(C0 + mass) of both folds and the bound's own
+// arithmetic (DESIGN.md §9).
+const patchMarginScale = 0x1p-40
+
+// patchBound turns a patch's delta and mass into a rigorous lower bound
+// on the exact cost of the committed distances with the patch laid
+// over them: the committed cost C0 minus the delta, less a margin that
+// covers every rounding in both totalCost folds and in the delta sum.
+// Valid only without an overhead term (C0 is then the fold of the
+// committed distances alone). A NaN or infinite input yields NaN or
+// -Inf, which never prunes.
+func (ev *IncrementalEvaluator) patchBound(delta, mass float64) float64 {
+	return (ev.cost - delta) - float64(ev.n+2)*patchMarginScale*(ev.cost+mass)
+}
+
+// activeSlot returns slot id when it can answer against the idle
+// committed state, nil otherwise.
+func (ev *IncrementalEvaluator) activeSlot(id int) *probeSlot {
+	if ev.slots == nil || id < 0 || id >= len(ev.slots) || !ev.have || ev.state != stateIdle {
+		return nil
+	}
+	if s := &ev.slots[id]; s.active {
+		return s
+	}
+	return nil
 }
 
 // CachedCost re-prices slot id against the current committed state:
@@ -135,12 +233,33 @@ func (ev *IncrementalEvaluator) CacheProbe(id int) {
 // invalidated by an intersecting commit (or never cached) and the
 // candidate must be re-probed.
 func (ev *IncrementalEvaluator) CachedCost(id int) (float64, bool) {
-	if ev.slots == nil || id < 0 || id >= len(ev.slots) || !ev.have || ev.state != stateIdle {
-		return 0, false
+	cost, _, ok := ev.CachedCostBounded(id, inf)
+	return cost, ok
+}
+
+// CachedCostBounded is CachedCost answering "cost, or provably >=
+// limit": when the slot's patch bound (patchBound over the committed
+// distances it would replace) reaches limit+boundedSlack it returns
+// pruned=true in O(|patch|), skipping the O(N) fold. An unpruned cost
+// is bit-identical to CachedCost's; limit=+Inf prices exactly.
+func (ev *IncrementalEvaluator) CachedCostBounded(id int, limit float64) (cost float64, pruned, ok bool) {
+	s := ev.activeSlot(id)
+	if s == nil {
+		return 0, false, false
 	}
-	s := &ev.slots[id]
-	if !s.active {
-		return 0, false
+	if limit < inf {
+		var delta, mass float64
+		for k := range s.patch {
+			p := &s.patch[k]
+			old, r := ev.dist[p.v], ev.rates[p.v]
+			delta += r * (old - p.dist)
+			mass += r * (old + p.dist)
+		}
+		if ev.patchBound(delta, mass) >= limit+boundedSlack {
+			ev.stats.CacheHits++
+			ev.stats.PricePrunes++
+			return 0, true, true
+		}
 	}
 	if cap(ev.patchSaved) < len(s.patch) {
 		ev.patchSaved = make([]float64, len(s.patch)+16)
@@ -156,10 +275,10 @@ func (ev *IncrementalEvaluator) CachedCost(id int) (float64, bool) {
 		ev.dist[s.patch[k].v] = saved[k]
 	}
 	if err != nil {
-		return 0, false
+		return 0, false, false
 	}
 	ev.stats.CacheHits++
-	return cost, true
+	return cost, false, true
 }
 
 // CommitCached promotes slot id's cached probe straight to the
@@ -169,11 +288,8 @@ func (ev *IncrementalEvaluator) CachedCost(id int) (float64, bool) {
 // leaves the evaluator untouched (callers fall back to
 // CostDelta+Commit).
 func (ev *IncrementalEvaluator) CommitCached(id int) (float64, bool) {
-	if ev.slots == nil || id < 0 || id >= len(ev.slots) || !ev.have || ev.state != stateIdle {
-		return 0, false
-	}
-	s := &ev.slots[id]
-	if !s.active {
+	s := ev.activeSlot(id)
+	if s == nil {
 		return 0, false
 	}
 	for i := range s.effs {

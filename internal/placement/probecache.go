@@ -104,6 +104,26 @@ func (e *IncrementalEvaluator) CachedCost(id int) (float64, bool) {
 	return cost, true
 }
 
+// CostDeltaCached is CostDelta followed by CacheProbe(id), satisfying
+// model.ProbeCache. Placement prices exactly and never prunes: a probe
+// re-prices the touched posts' supplies into a full price sum, with no
+// patch-local bound to stop early on.
+func (e *IncrementalEvaluator) CostDeltaCached(id int, moves []model.Move, _ float64) (float64, bool, error) {
+	cost, err := e.CostDelta(moves)
+	if err != nil {
+		return 0, false, err
+	}
+	e.CacheProbe(id)
+	return cost, false, nil
+}
+
+// CachedCostBounded is CachedCost satisfying model.ProbeCache; it never
+// prunes.
+func (e *IncrementalEvaluator) CachedCostBounded(id int, _ float64) (float64, bool, bool) {
+	cost, ok := e.CachedCost(id)
+	return cost, false, ok
+}
+
 // CommitCached promotes slot id's cached probe straight to the
 // committed placement: counts and supplies are written from the
 // snapshot, intersecting slots invalidated. ok=false leaves the

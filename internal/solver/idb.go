@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 
 	"wrsn/internal/deploy"
@@ -126,7 +127,7 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 	}
 	total, fixedTotal := inst.FixedTotal()
 	if !fixedTotal {
-		if err := idbGrow(ctx, inst, ev, pc, cur, curCost, ub, &evaluations); err != nil {
+		if err := idbGrow(ctx, ev, pc, cur, curCost, ub, &evaluations); err != nil {
 			return nil, 0, err
 		}
 		return cur, evaluations, nil
@@ -154,61 +155,20 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 		if step > remaining {
 			step = remaining
 		}
-		bestCost := -1.0
 		found := false
 		if step == 1 {
 			// δ=1 fast path (the paper's comparisons all run here): a
 			// one-node composition is just "post i gets the node", and
-			// ForEachComposition(n, 1) enumerates i = n-1 .. 0, so the
-			// inline loop below visits the identical candidate order
-			// without the O(n) composition-successor and extra-move
-			// scans per candidate. Replacing only on
-			// cost < bestCost-costSlack is exactly less(): the
-			// first-seen placement (largest i) is the lexicographically
-			// smallest extra vector, so every tie keeps the incumbent.
-			// The upper-bound guard never fires for deployment (one
-			// post at its cap forces all others to their floor, leaving
-			// nothing to place), so the deployment path is unchanged.
-			bestI := -1
-			mv := moves[:1] // reuse the shared move buffer (cap >= delta >= 1)
-			for i := n - 1; i >= 0; i-- {
-				if cur[i]+1 > ub[i] {
-					continue
-				}
-				if pc != nil {
-					if cost, ok := pc.CachedCost(i); ok {
-						// Bit-identical to re-probing (the cache proves
-						// nothing this candidate read has changed), so
-						// selection is unchanged; no repair ran, so it
-						// does not count as an evaluation.
-						if bestI < 0 || cost < bestCost-costSlack {
-							bestI = i
-							bestCost = cost
-						}
-						continue
-					}
-				}
-				if evaluations%ctxCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, 0, err
-					}
-				}
-				mv[0] = model.Move{Post: i, Delta: 1}
-				cost, evalErr := ev.CostDelta(mv)
-				evaluations++
-				if evalErr != nil {
-					return nil, 0, evalErr
-				}
-				if pc != nil {
-					pc.CacheProbe(i)
-				}
-				if evalErr := ev.Revert(); evalErr != nil {
-					return nil, 0, evalErr
-				}
-				if bestI < 0 || cost < bestCost-costSlack {
-					bestI = i
-					bestCost = cost
-				}
+			// ForEachComposition(n, 1) enumerates i = n-1 .. 0, so
+			// bestUnitAdd visits the identical candidate order without
+			// the O(n) composition-successor and extra-move scans per
+			// candidate, and picks the same winner (see there). The
+			// upper-bound guard never fires for deployment (one post at
+			// its cap forces all others to their floor, leaving nothing
+			// to place), so the deployment path is unchanged.
+			bestI, _, err := bestUnitAdd(ctx, ev, pc, cur, ub, &evaluations)
+			if err != nil {
+				return nil, 0, err
 			}
 			if bestI >= 0 {
 				found = true
@@ -218,6 +178,7 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 				bestExtra[bestI] = 1
 			}
 		} else {
+			var bestCost float64
 			var evalFailure error
 			loopErr := deploy.ForEachComposition(n, step, func(extra []int) bool {
 				for i, e := range extra {
@@ -302,49 +263,15 @@ func winnerPost(extra []int) int {
 // every dimension with headroom and commits the cheapest while it
 // strictly improves on the committed cost. The unit-wise growth mirrors
 // the δ=1 path's candidate order and tie-breaking.
-func idbGrow(ctx context.Context, inst model.Instance, ev model.Evaluator, pc model.ProbeCache, cur []int, curCost float64, ub []int, evaluations *int64) error {
-	n := inst.Dims()
+func idbGrow(ctx context.Context, ev model.Evaluator, pc model.ProbeCache, cur []int, curCost float64, ub []int, evaluations *int64) error {
 	mv := make([]model.Move, 1)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bestI := -1
-		bestCost := -1.0
-		for i := n - 1; i >= 0; i-- {
-			if cur[i]+1 > ub[i] {
-				continue
-			}
-			if pc != nil {
-				if cost, ok := pc.CachedCost(i); ok {
-					if bestI < 0 || cost < bestCost-costSlack {
-						bestI = i
-						bestCost = cost
-					}
-					continue
-				}
-			}
-			if *evaluations%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			mv[0] = model.Move{Post: i, Delta: 1}
-			cost, err := ev.CostDelta(mv)
-			*evaluations++
-			if err != nil {
-				return err
-			}
-			if pc != nil {
-				pc.CacheProbe(i)
-			}
-			if err := ev.Revert(); err != nil {
-				return err
-			}
-			if bestI < 0 || cost < bestCost-costSlack {
-				bestI = i
-				bestCost = cost
-			}
+		bestI, bestCost, err := bestUnitAdd(ctx, ev, pc, cur, ub, evaluations)
+		if err != nil {
+			return err
 		}
 		if bestI < 0 || bestCost >= curCost-costSlack {
 			return nil
@@ -367,4 +294,76 @@ func idbGrow(ctx context.Context, inst model.Instance, ev model.Evaluator, pc mo
 		cur[bestI]++
 		curCost = cost
 	}
+}
+
+// bestUnitAdd scans the unit-add candidates i = n-1 .. 0 with headroom
+// under ub and returns the round winner (-1 when none has headroom) and
+// its cost. Fresh probes count in *evaluations; cached re-prices ran no
+// repair and do not. A candidate replaces the incumbent only on
+// cost < bestCost-costSlack: the first-seen placement (largest i) is
+// the lexicographically smallest extra vector, so every tie keeps the
+// incumbent, exactly as less() orders compositions. That test is also
+// the pricing limit — a candidate priced pruned (exact cost >= limit)
+// could not have replaced the incumbent, so bounded pricing never
+// changes the winner.
+func bestUnitAdd(ctx context.Context, ev model.Evaluator, pc model.ProbeCache, cur, ub []int, evaluations *int64) (int, float64, error) {
+	mv := make([]model.Move, 1)
+	bestI, bestCost := -1, 0.0
+	for i := len(cur) - 1; i >= 0; i-- {
+		if cur[i]+1 > ub[i] {
+			continue
+		}
+		limit := math.Inf(1)
+		if bestI >= 0 {
+			limit = bestCost - costSlack
+		}
+		var (
+			cost        float64
+			pruned, hit bool
+		)
+		if pc != nil {
+			cost, pruned, hit = pc.CachedCostBounded(i, limit)
+		}
+		if !hit {
+			if *evaluations%ctxCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return 0, 0, err
+				}
+			}
+			mv[0] = model.Move{Post: i, Delta: 1}
+			var err error
+			cost, pruned, err = priceCandidate(ev, pc, i, mv, limit)
+			*evaluations++
+			if err != nil {
+				return 0, 0, err
+			}
+		}
+		if !pruned && (bestI < 0 || cost < limit) {
+			bestI, bestCost = i, cost
+		}
+	}
+	return bestI, bestCost, nil
+}
+
+// priceCandidate is probeCandidate followed by a Revert of an unpruned
+// probe: it leaves ev idle.
+func priceCandidate(ev model.Evaluator, pc model.ProbeCache, id int, mv []model.Move, limit float64) (float64, bool, error) {
+	cost, pruned, err := probeCandidate(ev, pc, id, mv, limit)
+	if err != nil || pruned {
+		return 0, pruned, err
+	}
+	return cost, false, ev.Revert()
+}
+
+// probeCandidate prices the committed solution with mv applied. With a
+// probe cache the probe goes through CostDeltaCached, snapshotting its
+// repair under slot id and answering pruned=true (exact cost >= limit,
+// ev left idle) when its patch proves it; without one it is a plain
+// CostDelta and never prunes. An unpruned probe is left pending.
+func probeCandidate(ev model.Evaluator, pc model.ProbeCache, id int, mv []model.Move, limit float64) (float64, bool, error) {
+	if pc != nil {
+		return pc.CostDeltaCached(id, mv, limit)
+	}
+	cost, err := ev.CostDelta(mv)
+	return cost, false, err
 }

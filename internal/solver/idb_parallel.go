@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"wrsn/internal/deploy"
@@ -207,23 +208,20 @@ func idbParallelUnit(ctx context.Context, inst model.Instance, evaluators []mode
 							return
 						}
 					}
+					// Exact pricing (limit +Inf): a worker's running
+					// best over its stripe is not the sequential scan's
+					// incumbent, so no limit from it is sound against the
+					// replay below.
 					if pc != nil {
-						if cost, ok := pc.CachedCost(i); ok {
+						if cost, _, ok := pc.CachedCostBounded(i, math.Inf(1)); ok {
 							costs[i] = cost
 							continue
 						}
 					}
 					mv[0] = model.Move{Post: i, Delta: 1}
-					cost, err := ev.CostDelta(mv[:])
+					cost, _, err := priceCandidate(ev, pc, i, mv[:], math.Inf(1))
 					counts[w]++
 					if err != nil {
-						errs[w] = err
-						return
-					}
-					if pc != nil {
-						pc.CacheProbe(i)
-					}
-					if err := ev.Revert(); err != nil {
 						errs[w] = err
 						return
 					}

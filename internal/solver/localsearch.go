@@ -141,9 +141,13 @@ func climb(ctx context.Context, inst model.Instance, ev model.Evaluator, cur []i
 			}
 		}
 		probes++
+		// Only a candidate below limit is accepted, so an answer priced
+		// pruned (exact cost >= limit) rejects exactly what the accept
+		// test would.
+		limit := curCost - costSlack
 		if pc != nil {
-			if cost, ok := pc.CachedCost(id); ok {
-				if cost >= curCost-costSlack {
+			if cost, pruned, ok := pc.CachedCostBounded(id, limit); ok {
+				if pruned || cost >= limit {
 					return false, nil
 				}
 				if promoted, ok := pc.CommitCached(id); ok {
@@ -157,15 +161,12 @@ func climb(ctx context.Context, inst model.Instance, ev model.Evaluator, cur []i
 				// fall through to a fresh probe.
 			}
 		}
-		cost, evalErr := ev.CostDelta(mv)
+		cost, pruned, evalErr := probeCandidate(ev, pc, id, mv, limit)
 		evaluations++
-		if evalErr != nil {
+		if evalErr != nil || pruned {
 			return false, evalErr
 		}
-		if pc != nil {
-			pc.CacheProbe(id)
-		}
-		if cost < curCost-costSlack {
+		if cost < limit {
 			if err := ev.Commit(); err != nil {
 				return false, err
 			}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -175,4 +176,165 @@ type instanceOnly struct {
 // only in what the evaluator exposes.
 func plainlessWrap(inst model.Instance) model.Instance {
 	return instanceOnly{inst}
+}
+
+// exactPricingInstance hands the solvers an evaluator whose probe cache
+// forwards both bounded pricing calls with the limit forced to +Inf, so
+// no candidate is ever pruned: the reference run for the bounded
+// pricing pin.
+type exactPricingInstance struct {
+	model.Instance
+}
+
+func (ei exactPricingInstance) NewEvaluator() (model.Evaluator, error) {
+	ev, err := ei.Instance.NewEvaluator()
+	if err != nil {
+		return nil, err
+	}
+	pc, ok := ev.(model.ProbeCache)
+	if !ok {
+		return nil, fmt.Errorf("evaluator %T has no probe cache", ev)
+	}
+	return &exactPricingEvaluator{Evaluator: ev, pc: pc}, nil
+}
+
+// exactPricingEvaluator is the Evaluator protocol plus a ProbeCache that
+// always prices exactly.
+type exactPricingEvaluator struct {
+	model.Evaluator
+	pc model.ProbeCache
+}
+
+func (e *exactPricingEvaluator) EnableProbeCache(slots int) { e.pc.EnableProbeCache(slots) }
+
+func (e *exactPricingEvaluator) CostDeltaCached(id int, moves []model.Move, _ float64) (float64, bool, error) {
+	return e.pc.CostDeltaCached(id, moves, math.Inf(1))
+}
+
+func (e *exactPricingEvaluator) CachedCostBounded(id int, _ float64) (float64, bool, bool) {
+	return e.pc.CachedCostBounded(id, math.Inf(1))
+}
+
+func (e *exactPricingEvaluator) CommitCached(id int) (float64, bool) { return e.pc.CommitCached(id) }
+
+// recordingInstance keeps the deployment evaluators a solver builds, so
+// a test can read their counters afterwards.
+type recordingInstance struct {
+	model.Instance
+	evs []*model.IncrementalEvaluator
+}
+
+func (ri *recordingInstance) NewEvaluator() (model.Evaluator, error) {
+	ev, err := ri.Instance.NewEvaluator()
+	if ie, ok := ev.(*model.IncrementalEvaluator); ok {
+		ri.evs = append(ri.evs, ie)
+	}
+	return ev, err
+}
+
+// pricePrunes sums the recorded evaluators' PricePrunes.
+func (ri *recordingInstance) pricePrunes() int64 {
+	var sum int64
+	for _, ev := range ri.evs {
+		sum += ev.Stats().PricePrunes
+	}
+	return sum
+}
+
+// sameResult fails unless a and b agree in cost bits, solution vector
+// and evaluation count.
+func sameResult(t *testing.T, name string, a, b *Result) {
+	t.Helper()
+	if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) {
+		t.Fatalf("%s: cost %.17g != %.17g", name, a.Cost, b.Cost)
+	}
+	if len(a.Vector) == 0 || len(a.Vector) != len(b.Vector) {
+		t.Fatalf("%s: solution vectors of length %d and %d", name, len(a.Vector), len(b.Vector))
+	}
+	for i := range a.Vector {
+		if a.Vector[i] != b.Vector[i] {
+			t.Fatalf("%s: vectors diverge at %d: %v vs %v", name, i, a.Vector, b.Vector)
+		}
+	}
+	if a.Evaluations != b.Evaluations {
+		t.Fatalf("%s: %d evaluations != %d", name, a.Evaluations, b.Evaluations)
+	}
+}
+
+// TestBoundedPricingPin pins bounded candidate pricing to exact pricing:
+// IDB (deployment at 60+ posts, uniform and clustered, plus placement
+// through idbGrow) and LocalSearch must return the same cost bits,
+// solution vector and evaluation count whether or not candidates are
+// pruned against the running best, and parallel IDB must match the
+// sequential run. Every deployment run must actually prune.
+func TestBoundedPricingPin(t *testing.T) {
+	ctx := context.Background()
+	clustered := func(seed int64, n, m int) *model.Problem {
+		p, err := model.GenerateProblem(rand.New(rand.NewSource(seed)), model.GenSpec{
+			Field: geom.Square(400), Posts: n, Nodes: m, Layout: model.LayoutClustered,
+		})
+		if err != nil {
+			t.Fatalf("generate clustered: %v", err)
+		}
+		return p
+	}
+	idbInsts := map[string]model.Instance{
+		"uniform-60":    randomProblem(t, 3, 400, 60, 180),
+		"uniform-100":   randomProblem(t, 4, 500, 100, 300),
+		"clustered-60":  clustered(5, 60, 240),
+		"clustered-100": clustered(6, 100, 300),
+		"placement":     testPlacementInstance(t, 3),
+	}
+	for name, inst := range idbInsts {
+		rec := &recordingInstance{Instance: inst}
+		bounded, err := IDB(ctx, rec, IDBOptions{Delta: 1, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: IDB: %v", name, err)
+		}
+		if name != "placement" && rec.pricePrunes() == 0 {
+			t.Errorf("%s: IDB pruned no candidate", name)
+		}
+		exact, err := IDB(ctx, exactPricingInstance{inst}, IDBOptions{Delta: 1, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: exact-pricing IDB: %v", name, err)
+		}
+		sameResult(t, name+" idb", bounded, exact)
+		if _, fixed := inst.FixedTotal(); fixed {
+			parallel, err := IDB(ctx, instanceOnly{inst}, IDBOptions{Delta: 1, Workers: 3})
+			if err != nil {
+				t.Fatalf("%s: parallel IDB: %v", name, err)
+			}
+			sameResult(t, name+" idb-parallel", bounded, parallel)
+		}
+	}
+	for _, seed := range []int64{2, 7} {
+		p := randomProblem(t, seed, 400, 60, 180)
+		vec := make([]int, p.N())
+		for i := range vec {
+			vec[i] = 1
+		}
+		for k := 0; k < p.Nodes-p.N(); k++ {
+			vec[k%p.N()]++
+		}
+		for name, inst := range map[string]model.Instance{"deployment": p, "placement": testPlacementInstance(t, seed)} {
+			var start *Result
+			if name == "deployment" {
+				start = &Result{Vector: vec}
+			}
+			opts := LocalSearchOptions{Start: start}
+			rec := &recordingInstance{Instance: inst}
+			bounded, err := LocalSearch(ctx, rec, opts)
+			if err != nil {
+				t.Fatalf("%s: LocalSearch: %v", name, err)
+			}
+			if name == "deployment" && rec.pricePrunes() == 0 {
+				t.Errorf("seed %d: LocalSearch pruned no candidate", seed)
+			}
+			exact, err := LocalSearch(ctx, exactPricingInstance{inst}, opts)
+			if err != nil {
+				t.Fatalf("%s: exact-pricing LocalSearch: %v", name, err)
+			}
+			sameResult(t, fmt.Sprintf("%s seed %d local-search", name, seed), bounded, exact)
+		}
+	}
 }
