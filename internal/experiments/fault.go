@@ -83,8 +83,8 @@ func ExtFaultTolerance(opts Options) (*Figure, error) {
 						PowerPerRound: 1e9,
 						SpeedPerRound: 1e6,
 					},
-					FailurePerRound: rate,
-					Seed:            simSeed,
+					Faults: &sim.FaultConfig{NodeFailurePerRound: rate},
+					Seed:   simSeed,
 				})
 				if err != nil {
 					return 0, err

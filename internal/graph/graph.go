@@ -214,38 +214,6 @@ var Unreachable = math.Inf(1)
 // invalid target vertex.
 var ErrTargetOutOfRange = errors.New("graph: target vertex out of range")
 
-// DistancesTo returns, for every vertex u, the cost of the cheapest
-// directed path u -> ... -> target (following edge directions), or
-// Unreachable if none exists. It is a single Dijkstra run over the
-// reversed graph: O((V+E) log V).
-func (g *Graph) DistancesTo(target int) ([]float64, error) {
-	if target < 0 || target >= g.n {
-		return nil, fmt.Errorf("%w: %d", ErrTargetOutOfRange, target)
-	}
-	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[target] = 0
-	h := NewIndexedMinHeap(g.n)
-	h.Push(target, 0)
-	for h.Len() > 0 {
-		v, dv := h.Pop()
-		if dv > dist[v] {
-			continue
-		}
-		// rev slots of v enumerate u such that u->v exists in g.
-		for s := g.rOff[v]; s < g.rOff[v+1]; s++ {
-			u := int(g.rSrc[s])
-			if nd := dv + g.fW[g.rFwd[s]]; nd < dist[u] {
-				dist[u] = nd
-				h.Push(u, nd)
-			}
-		}
-	}
-	return dist, nil
-}
-
 // DAG is the all-shortest-paths predecessor structure toward a fixed
 // target vertex: the union of every minimum-cost path from every vertex to
 // the target. The paper calls this structure the "fat tree" (Phase I/II of
@@ -270,38 +238,16 @@ type DAG struct {
 // tol (e.g. 1e-9 relative to typical weights) makes the fat tree robust to
 // floating-point noise when many geometric paths tie.
 func (g *Graph) ShortestPathDAG(target int, tol float64) (*DAG, error) {
-	if tol < 0 {
-		return nil, fmt.Errorf("graph: negative tolerance %g", tol)
-	}
-	dist, err := g.DistancesTo(target)
-	if err != nil {
-		return nil, err
-	}
-	parents := make([][]int, g.n)
-	for u := 0; u < g.n; u++ {
-		if u == target || math.IsInf(dist[u], 1) {
-			continue
-		}
-		for s := g.fOff[u]; s < g.fOff[u+1]; s++ {
-			v := int(g.fDst[s])
-			if math.IsInf(dist[v], 1) {
-				continue
-			}
-			if math.Abs(dist[u]-(g.fW[s]+dist[v])) <= tol {
-				parents[u] = append(parents[u], v)
-			}
-		}
-	}
-	return &DAG{Target: target, Dist: dist, Parents: parents}, nil
+	return NewRouter(g).DAGTo(target, tol)
 }
 
 // Reachable reports, for each vertex, whether the target is reachable
 // from it (d.Dist finite).
 func (d *DAG) Reachable(u int) bool { return !math.IsInf(d.Dist[u], 1) }
 
-// BellmanFordTo is a reference implementation of DistancesTo with O(V*E)
-// complexity. It exists so property-based and differential tests can
-// cross-check the CSR Dijkstra; production code should use DistancesTo.
+// BellmanFordTo is a reference implementation of Router.DistancesTo with
+// O(V*E) complexity. It exists so property-based and differential tests
+// can cross-check the CSR Dijkstra; production code should use a Router.
 func (g *Graph) BellmanFordTo(target int) ([]float64, error) {
 	if target < 0 || target >= g.n {
 		return nil, fmt.Errorf("%w: %d", ErrTargetOutOfRange, target)

@@ -49,7 +49,7 @@ func TestAddEdgeValidation(t *testing.T) {
 
 func TestDistancesToLine(t *testing.T) {
 	g := lineGraph(t, 5)
-	dist, err := g.DistancesTo(4)
+	dist, err := NewRouter(g).DistancesTo(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDistancesToLine(t *testing.T) {
 		}
 	}
 	// Reverse direction: nothing reaches vertex 0 except itself.
-	dist, err = g.DistancesTo(0)
+	dist, err = NewRouter(g).DistancesTo(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDistancesToPicksCheaperParallelEdge(t *testing.T) {
 	if err := b.AddEdge(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	dist, err := b.Build().DistancesTo(1)
+	dist, err := NewRouter(b.Build()).DistancesTo(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,10 @@ func TestDistancesToPicksCheaperParallelEdge(t *testing.T) {
 
 func TestDistancesToErrors(t *testing.T) {
 	g := NewBuilder(2).Build()
-	if _, err := g.DistancesTo(2); err == nil {
+	if _, err := NewRouter(g).DistancesTo(2); err == nil {
 		t.Error("out-of-range target accepted")
 	}
-	if _, err := g.DistancesTo(-1); err == nil {
+	if _, err := NewRouter(g).DistancesTo(-1); err == nil {
 		t.Error("negative target accepted")
 	}
 }
@@ -119,7 +119,7 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 		n := 2 + rng.Intn(30)
 		g := randomGraph(rng, n, 0.15)
 		target := rng.Intn(n)
-		fast, err := g.DistancesTo(target)
+		fast, err := NewRouter(g).DistancesTo(target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func FuzzDijkstraVsBellmanFord(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, n, density)
 		target := int(targetRaw) % n
-		fast, err := g.DistancesTo(target)
+		fast, err := NewRouter(g).DistancesTo(target)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,9 +61,10 @@ func (r *Router) Settled() int64 { return r.settled }
 func (r *Router) masked(v int) bool { return r.mask != nil && r.mask[v] }
 
 // DistancesTo computes, for every vertex u, the cost of the cheapest
-// directed path u -> ... -> target, exactly like Graph.DistancesTo but
-// into the Router's reusable buffers. The returned slice is owned by the
-// Router.
+// directed path u -> ... -> target (following edge directions), or
+// Unreachable if none exists, into the Router's reusable buffers: one
+// Dijkstra run over the reversed graph, O((V+E) log V). The returned
+// slice is owned by the Router.
 func (r *Router) DistancesTo(target int) ([]float64, error) {
 	n := r.g.NumVertices()
 	if target < 0 || target >= n {
@@ -101,8 +102,8 @@ func (r *Router) DistancesTo(target int) ([]float64, error) {
 	return dist, nil
 }
 
-// DAGTo computes the all-shortest-paths DAG toward target, exactly like
-// Graph.ShortestPathDAG but reusing the Router's buffers (parent lists
+// DAGTo computes the all-shortest-paths DAG toward target (see
+// Graph.ShortestPathDAG), reusing the Router's buffers (parent lists
 // keep their capacity across calls). Masked vertices have Unreachable
 // distance and empty parent lists, and never appear in any parent list.
 // The returned DAG is owned by the Router and valid until the next

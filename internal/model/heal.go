@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"wrsn/internal/geom"
+	"wrsn/internal/graph"
 )
 
 // SurvivorsReachable runs a BFS from the base station over the
@@ -114,37 +115,19 @@ func EvaluateDegraded(p *Problem, aliveCounts []int, tree Tree) (float64, error)
 	// Accumulate subtree loads leaves-first; dead posts drop what reaches
 	// them and inject nothing.
 	load := make([]float64, n)
-	childCount := make([]int, n)
 	for i := 0; i < n; i++ {
 		if aliveCounts[i] > 0 {
 			load[i] = p.Rate(i)
 		}
-		if par := tree.Parent[i]; par < n {
-			childCount[par]++
-		}
 	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if childCount[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		processed++
-		if par := tree.Parent[v]; par < n {
-			if aliveCounts[v] > 0 {
-				load[par] += load[v]
-			}
-			if childCount[par]--; childCount[par] == 0 {
-				queue = append(queue, par)
-			}
-		}
-	}
-	if processed != n {
+	order := graph.LeavesFirst(tree.Parent, nil, nil, nil)
+	if len(order) != n {
 		return 0, ErrCycle
+	}
+	for _, v := range order {
+		if par := tree.Parent[v]; par < n && aliveCounts[v] > 0 {
+			load[par] += load[v]
+		}
 	}
 	rx := p.Energy.RxEnergy()
 	var total float64

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"wrsn/internal/geom"
+	"wrsn/internal/graph"
 )
 
 // Tree is a routing arborescence over the posts, directed toward the base
@@ -108,29 +109,9 @@ func (t Tree) SubtreeSizes(p *Problem) []int {
 	for i := range w {
 		w[i] = 1
 	}
-	// Process posts in topological order (leaves first) by counting
-	// children, then peeling.
-	childCount := make([]int, n)
-	for i := 0; i < n; i++ {
-		if par := t.Parent[i]; par < n {
-			childCount[par]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if childCount[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for _, v := range graph.LeavesFirst(t.Parent, nil, nil, nil) {
 		if par := t.Parent[v]; par < n {
 			w[par] += w[v]
-			childCount[par]--
-			if childCount[par] == 0 {
-				queue = append(queue, par)
-			}
 		}
 	}
 	return w
@@ -146,27 +127,9 @@ func (t Tree) SubtreeLoads(p *Problem) []float64 {
 	for i := 0; i < n; i++ {
 		loads[i] = p.Rate(i)
 	}
-	childCount := make([]int, n)
-	for i := 0; i < n; i++ {
-		if par := t.Parent[i]; par < n {
-			childCount[par]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if childCount[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for _, v := range graph.LeavesFirst(t.Parent, nil, nil, nil) {
 		if par := t.Parent[v]; par < n {
 			loads[par] += loads[v]
-			childCount[par]--
-			if childCount[par] == 0 {
-				queue = append(queue, par)
-			}
 		}
 	}
 	return loads

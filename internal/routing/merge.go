@@ -81,7 +81,7 @@ func MergeSiblings(spec MergeSpec, parent []int) (MergeStats, error) {
 		}
 		children[p] = append(children[p], u)
 	}
-	workload := treeWorkloadsSkip(parent, n, spec.Skip)
+	workload := treeWorkloads(parent, spec.Skip, nil, nil, nil)
 
 	var stats MergeStats
 	for v := 0; v <= n; v++ {
@@ -128,44 +128,4 @@ func MergeSiblings(spec MergeSpec, parent []int) (MergeStats, error) {
 		}
 	}
 	return stats, nil
-}
-
-// treeWorkloadsSkip is treeWorkloads with skipped posts excluded: they
-// are neither counted as descendants nor traversed (their stale parent
-// edges are ignored).
-func treeWorkloadsSkip(parent []int, nPosts int, skip []bool) []int {
-	if skip == nil {
-		return treeWorkloads(parent, nPosts)
-	}
-	w := make([]int, nPosts)
-	childCount := make([]int, nPosts)
-	for u := 0; u < nPosts; u++ {
-		if skip[u] {
-			continue
-		}
-		if p := parent[u]; p < nPosts {
-			childCount[p]++
-		}
-	}
-	queue := make([]int, 0, nPosts)
-	for u := 0; u < nPosts; u++ {
-		if skip[u] {
-			continue
-		}
-		if childCount[u] == 0 {
-			queue = append(queue, u)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if p := parent[v]; p < nPosts {
-			w[p] += w[v] + 1
-			childCount[p]--
-			if childCount[p] == 0 {
-				queue = append(queue, p)
-			}
-		}
-	}
-	return w
 }

@@ -283,8 +283,7 @@ func (t *Trimmer) Trim(dag *graph.DAG, rates []float64, skip []bool, dst *TrimRe
 	}
 
 	// Final workloads (descendant counts) on the resolved tree.
-	dst.Workload = resizeInts(dst.Workload, nPosts)
-	t.treeWorkloadsInto(dst.Parent, skip, dst.Workload)
+	dst.Workload = treeWorkloads(dst.Parent, skip, dst.Workload, t.queue, t.childCount)
 	return nil
 }
 
@@ -297,70 +296,20 @@ func wl(q int, load []float64, nPosts int) float64 {
 	return load[q]
 }
 
-// treeWorkloadsInto computes each active post's descendant count in the
-// tree given by the parent vector (base station = nPosts; skipped posts
-// contribute nothing and keep workload 0), using the Trimmer's buffers.
-func (t *Trimmer) treeWorkloadsInto(parent []int, skip []bool, w []int) {
-	nPosts := t.n
-	for u := 0; u < nPosts; u++ {
-		w[u] = 0
-		t.childCount[u] = 0
-	}
-	for u := 0; u < nPosts; u++ {
-		if skip != nil && skip[u] {
-			continue
-		}
-		if p := parent[u]; p >= 0 && p < nPosts {
-			t.childCount[p]++
-		}
-	}
-	queue := t.queue[:0]
-	for u := 0; u < nPosts; u++ {
-		if skip != nil && skip[u] {
-			continue
-		}
-		if t.childCount[u] == 0 {
-			queue = append(queue, u)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		if p := parent[v]; p >= 0 && p < nPosts {
+// treeWorkloads returns each active post's descendant count in the tree
+// given by the parent vector (base station = len(parent), -1 = no
+// parent), written into w (resized to len(parent)). Skipped posts must
+// have no active children, as Trim requires; they then count as no
+// one's descendant and keep workload 0. order and pending are
+// graph.LeavesFirst's buffers; with capacity len(parent) the call
+// allocates nothing.
+func treeWorkloads(parent []int, skip []bool, w, order, pending []int) []int {
+	n := len(parent)
+	w = resizeInts(w, n)
+	clear(w)
+	for _, v := range graph.LeavesFirst(parent, skip, order, pending) {
+		if p := parent[v]; p >= 0 && p < n {
 			w[p] += w[v] + 1
-			t.childCount[p]--
-			if t.childCount[p] == 0 {
-				queue = append(queue, p)
-			}
-		}
-	}
-	t.queue = queue
-}
-
-// treeWorkloads returns each post's descendant count in the tree given by
-// the parent vector (base station = nPosts).
-func treeWorkloads(parent []int, nPosts int) []int {
-	w := make([]int, nPosts)
-	childCount := make([]int, nPosts)
-	for u := 0; u < nPosts; u++ {
-		if p := parent[u]; p < nPosts {
-			childCount[p]++
-		}
-	}
-	queue := make([]int, 0, nPosts)
-	for u := 0; u < nPosts; u++ {
-		if childCount[u] == 0 {
-			queue = append(queue, u)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if p := parent[v]; p < nPosts {
-			w[p] += w[v] + 1
-			childCount[p]--
-			if childCount[p] == 0 {
-				queue = append(queue, p)
-			}
 		}
 	}
 	return w

@@ -264,7 +264,7 @@ func TestTrimConcentration(t *testing.T) {
 			naiveParents[u] = dag.Parents[u][0]
 		}
 		maxLoad := func(parent []int) int {
-			w := treeWorkloads(parent, p.N())
+			w := treeWorkloads(parent, nil, nil, nil, nil)
 			best := 0
 			for _, v := range w {
 				if v > best {

@@ -218,7 +218,7 @@ func TestPerNodeBernoulliInjectionRate(t *testing.T) {
 	// The historical one-per-round cap would have made >rounds failures
 	// impossible at any rate; per-node draws routinely exceed one per
 	// round at high rates.
-	burst, _ := New(Config{Problem: p, Solution: sol, FailurePerRound: 1, Seed: 1})
+	burst, _ := New(Config{Problem: p, Solution: sol, Faults: &FaultConfig{NodeFailurePerRound: 1}, Seed: 1})
 	bm, err := burst.Run(1)
 	if err != nil {
 		t.Fatal(err)
@@ -282,10 +282,5 @@ func TestFaultConfigValidation(t *testing.T) {
 				t.Errorf("config %+v accepted", tc.fc)
 			}
 		})
-	}
-	// Legacy shorthand conflicts with the engine's own knob.
-	if _, err := New(Config{Problem: p, Solution: sol, FailurePerRound: 0.1,
-		Faults: &FaultConfig{NodeFailurePerRound: 0.1}}); err == nil {
-		t.Error("FailurePerRound + Faults.NodeFailurePerRound accepted together")
 	}
 }

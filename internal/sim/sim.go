@@ -35,6 +35,7 @@ import (
 	"math/rand"
 
 	"wrsn/internal/geom"
+	"wrsn/internal/graph"
 	"wrsn/internal/heal"
 	"wrsn/internal/model"
 )
@@ -76,14 +77,6 @@ type Config struct {
 	// static (the no-repair baseline).
 	Repair *RepairConfig
 
-	// FailurePerRound is a legacy shorthand for
-	// Faults.NodeFailurePerRound: the per-node per-round Bernoulli
-	// probability of a permanent failure (default 0). Node failures per
-	// round follow Binomial(aliveNodes, p), so high rates inject
-	// proportionally — the historical engine fired at most one failure
-	// per round regardless of rate. Setting both this and
-	// Faults.NodeFailurePerRound is an error.
-	FailurePerRound float64
 	// LinkLossProb is the probability that one transmission attempt of a
 	// report fails and must be retransmitted (default 0: the paper's
 	// lossless links). Lossy links inflate transmit energy by roughly
@@ -393,9 +386,6 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.Chargers < 0 {
 		return nil, fmt.Errorf("sim: negative charger fleet size %d", cfg.Chargers)
 	}
-	if cfg.FailurePerRound < 0 || cfg.FailurePerRound > 1 {
-		return nil, fmt.Errorf("sim: failure rate %g outside [0, 1]", cfg.FailurePerRound)
-	}
 	if cfg.LinkLossProb < 0 || cfg.LinkLossProb >= 1 {
 		return nil, fmt.Errorf("sim: link loss probability %g outside [0, 1)", cfg.LinkLossProb)
 	}
@@ -426,16 +416,9 @@ func New(cfg Config) (*Simulator, error) {
 		return nil, errors.New("sim: Chargers set but Charger config is nil")
 	}
 
-	// Fold the legacy FailurePerRound shorthand into the fault engine.
 	var faultCfg FaultConfig
 	if cfg.Faults != nil {
 		faultCfg = *cfg.Faults
-		if cfg.FailurePerRound > 0 && faultCfg.NodeFailurePerRound > 0 {
-			return nil, errors.New("sim: set FailurePerRound or Faults.NodeFailurePerRound, not both")
-		}
-	}
-	if cfg.FailurePerRound > 0 {
-		faultCfg.NodeFailurePerRound = cfg.FailurePerRound
 	}
 	if err := faultCfg.validate(n, fleet); err != nil {
 		return nil, err
@@ -529,29 +512,7 @@ func (s *Simulator) rebuildDerived() error {
 	bits := float64(s.cfg.PacketBits)
 
 	// Leaves-first topological order over the current tree.
-	childCount := make([]int, n)
-	for i := 0; i < n; i++ {
-		if par := s.tree.Parent[i]; par < n {
-			childCount[par]++
-		}
-	}
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if childCount[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		if par := s.tree.Parent[v]; par < n {
-			if childCount[par]--; childCount[par] == 0 {
-				queue = append(queue, par)
-			}
-		}
-	}
+	order := graph.LeavesFirst(s.tree.Parent, nil, nil, nil)
 	if len(order) != n {
 		return model.ErrCycle
 	}

@@ -142,11 +142,11 @@ func TestFailureInjectionDegradesDelivery(t *testing.T) {
 	p, sol := testNetwork(t, 6, 200, 15, 45)
 	run := func(failureRate float64) *Metrics {
 		s, err := New(Config{
-			Problem:         p,
-			Solution:        sol,
-			PacketBits:      1000,
-			FailurePerRound: failureRate,
-			Seed:            4,
+			Problem:    p,
+			Solution:   sol,
+			PacketBits: 1000,
+			Faults:     &FaultConfig{NodeFailurePerRound: failureRate},
+			Seed:       4,
 			Charger: &ChargerConfig{
 				PowerPerRound: 1e9,
 				SpeedPerRound: 1e6,
@@ -162,7 +162,7 @@ func TestFailureInjectionDegradesDelivery(t *testing.T) {
 		return m
 	}
 	healthy := run(0)
-	// FailurePerRound is per-node: 0.002 kills roughly one node every 11
+	// NodeFailurePerRound is per-node: 0.002 kills roughly one node every 11
 	// rounds across 45 nodes, stripping posts well within 4000 rounds.
 	failing := run(0.002)
 	if healthy.DeliveryRatio() != 1 {
@@ -217,9 +217,9 @@ func TestEnergyConservation(t *testing.T) {
 		"charged": {Problem: p, Solution: sol, Seed: 1,
 			Charger: &ChargerConfig{PowerPerRound: 5e6, SpeedPerRound: 10}},
 		"fleet with failures": {Problem: p, Solution: sol, Seed: 1,
-			Charger:         &ChargerConfig{PowerPerRound: 2e6, SpeedPerRound: 8, Policy: PolicyTour},
-			Chargers:        2,
-			FailurePerRound: 0.01},
+			Charger:  &ChargerConfig{PowerPerRound: 2e6, SpeedPerRound: 8, Policy: PolicyTour},
+			Chargers: 2,
+			Faults:   &FaultConfig{NodeFailurePerRound: 0.01}},
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -334,8 +334,8 @@ func TestConfigValidation(t *testing.T) {
 		{"lossy links without retry cap", func(c *Config) { c.LinkLossProb = 0.1 }},
 		{"initial charge below zero", func(c *Config) { c.InitialChargeFrac = -0.5 }},
 		{"initial charge above one", func(c *Config) { c.InitialChargeFrac = 1.5 }},
-		{"failure rate below zero", func(c *Config) { c.FailurePerRound = -0.1 }},
-		{"failure rate above one", func(c *Config) { c.FailurePerRound = 1.1 }},
+		{"failure rate below zero", func(c *Config) { c.Faults = &FaultConfig{NodeFailurePerRound: -0.1} }},
+		{"failure rate above one", func(c *Config) { c.Faults = &FaultConfig{NodeFailurePerRound: 1.1} }},
 		{"negative repair latency", func(c *Config) { c.Repair = &RepairConfig{LatencyRounds: -1} }},
 		{"nil problem", func(c *Config) { c.Problem = nil }},
 	}

@@ -20,14 +20,12 @@ const ctxCheckStride = 64
 type IDBOptions struct {
 	// Delta is the per-round node increment (>= 1; the paper uses 1).
 	Delta int
-	// Workers is the number of goroutines evaluating candidate
+	// Workers is the number of goroutines evaluating δ=1 candidate
 	// placements concurrently; 0 means GOMAXPROCS, 1 runs sequentially.
-	// Each worker carries its own evaluator (the protocol is
-	// not concurrency-safe), so memory scales with
-	// workers while results remain bit-identical to the sequential run
-	// (the winning candidate is the cost-minimal one, ties broken by
-	// lexicographically smallest placement — the same candidate the
-	// sequential enumeration finds first).
+	// Each worker carries its own evaluator (the protocol is not
+	// concurrency-safe), so memory scales with workers while results
+	// and evaluation counts remain bit-identical to the sequential run.
+	// Delta > 1 and free-total instances always run sequentially.
 	Workers int
 }
 
@@ -47,17 +45,17 @@ type IDBOptions struct {
 // one the search greedily adds the single best unit per round while that
 // strictly improves the cost.
 //
-// With more than one worker, each fixed-total round's candidates are
-// evaluated by a parallel pool: IDB's inner loop — one Dijkstra per
+// With more than one worker, each δ=1 fixed-total round's candidates
+// are evaluated by a parallel pool: IDB's inner loop — one Dijkstra per
 // candidate placement per round — is embarrassingly parallel, and at the
-// paper's large scales (Figs. 8-10) it dominates total runtime.
-// Free-total instances always run sequentially: their rounds probe only
-// one unit-add per dimension, too little work to farm out.
+// paper's large scales (Figs. 8-10) it dominates total runtime. Delta >
+// 1 and free-total instances always run sequentially: no workload runs
+// δ>1 with more than one worker, and free-total rounds probe only one
+// unit-add per dimension, too little work to farm out.
 //
 // The context is checked at every round boundary and every
-// ctxCheckStride candidate evaluations (by the candidate producer and by
-// every worker), so a cancelled run returns ctx.Err() within a handful
-// of Dijkstra runs.
+// ctxCheckStride candidate evaluations (by every worker), so a
+// cancelled run returns ctx.Err() within a handful of Dijkstra runs.
 func IDB(ctx context.Context, inst model.Instance, opts IDBOptions) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -69,7 +67,7 @@ func IDB(ctx context.Context, inst model.Instance, opts IDBOptions) (*Result, er
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if _, fixed := inst.FixedTotal(); !fixed {
+	if _, fixed := inst.FixedTotal(); !fixed || opts.Delta > 1 {
 		workers = 1
 	}
 	evaluators, err := newEvaluators(inst, workers)
@@ -83,7 +81,7 @@ func IDB(ctx context.Context, inst model.Instance, opts IDBOptions) (*Result, er
 	if workers == 1 {
 		cur, evaluations, err = idbSearch(ctx, inst, evaluators[0], opts.Delta)
 	} else {
-		cur, evaluations, err = idbParallelSearch(ctx, inst, evaluators, opts.Delta)
+		cur, evaluations, err = idbParallelSearch(ctx, inst, evaluators)
 	}
 	if err != nil {
 		return nil, err
@@ -202,9 +200,8 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 					evalFailure = evalErr
 					return false
 				}
-				// Order by (cost, lexicographic placement) — the same
-				// comparator the parallel variant merges with, so both
-				// produce identical deployments.
+				// Order by (cost, lexicographic placement), so ties
+				// resolve to one deployment whatever the enumeration.
 				if !found || less(cost, extra, bestCost, bestExtra) {
 					found = true
 					bestCost = cost
@@ -366,4 +363,22 @@ func probeCandidate(ev model.Evaluator, pc model.ProbeCache, id int, mv []model.
 	}
 	cost, err := ev.CostDelta(mv)
 	return cost, false, err
+}
+
+// less orders δ>1 candidates by (cost, lexicographic placement). Cost
+// comparisons use costSlack so floating-point noise cannot flip the
+// placement order.
+func less(costA float64, extraA []int, costB float64, extraB []int) bool {
+	if costA < costB-costSlack {
+		return true
+	}
+	if costA > costB+costSlack {
+		return false
+	}
+	for i := range extraA {
+		if extraA[i] != extraB[i] {
+			return extraA[i] < extraB[i]
+		}
+	}
+	return false
 }

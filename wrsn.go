@@ -241,7 +241,8 @@ func SolveAnneal(p *Problem, opts AnnealOptions) (*Result, error) {
 	return solver.Anneal(context.Background(), p, opts)
 }
 
-// SolveIDBParallel is IDB with a concurrent candidate-evaluation pool;
+// SolveIDBParallel is IDB with a concurrent candidate-evaluation pool
+// for delta = 1 (delta > 1 runs sequentially at any worker count);
 // results are bit-identical to SolveIDB.
 func SolveIDBParallel(p *Problem, opts IDBOptions) (*Result, error) {
 	return solver.IDB(context.Background(), p, opts)
