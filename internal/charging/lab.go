@@ -35,7 +35,7 @@ var (
 )
 
 // Lab simulates the RF charging test bench. The zero value is invalid;
-// construct with NewLab or DefaultLab.
+// start from DefaultLab and check edits with Validate.
 type Lab struct {
 	// TxPower is the charger's consumed power in milliwatts.
 	TxPower float64
@@ -75,23 +75,6 @@ func DefaultLab() Lab {
 		CloseSpacing:  0.05,
 		NoiseStdDev:   0.06,
 	}
-}
-
-// NewLab validates and returns a Lab.
-func NewLab(txPowerMW, refDist, refEff, decay, shadowClose, closeSpacing, noise float64) (Lab, error) {
-	l := Lab{
-		TxPower:       txPowerMW,
-		RefDistance:   refDist,
-		RefEfficiency: refEff,
-		Decay:         decay,
-		ShadowClose:   shadowClose,
-		CloseSpacing:  closeSpacing,
-		NoiseStdDev:   noise,
-	}
-	if err := l.Validate(); err != nil {
-		return Lab{}, err
-	}
-	return l, nil
 }
 
 // Validate checks the physical plausibility of the bench parameters.

@@ -164,13 +164,3 @@ func (m Model) Validate() error {
 	_, err := New(m.Alpha, m.Beta, m.Gamma, m.Ranges)
 	return err
 }
-
-// EnergyTable returns e_1..e_k, the per-bit transmit energies of every
-// power level, in nJ.
-func (m Model) EnergyTable() []float64 {
-	es := make([]float64, len(m.Ranges))
-	for i := range es {
-		es[i] = m.TxEnergyAtLevel(i)
-	}
-	return es
-}

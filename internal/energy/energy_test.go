@@ -173,22 +173,6 @@ func TestUniformRanges(t *testing.T) {
 	}
 }
 
-func TestEnergyTable(t *testing.T) {
-	m := Default()
-	tbl := m.EnergyTable()
-	if len(tbl) != m.Levels() {
-		t.Fatalf("table has %d entries, want %d", len(tbl), m.Levels())
-	}
-	for i, e := range tbl {
-		if e != m.TxEnergyAtLevel(i) {
-			t.Errorf("table[%d] = %v, want %v", i, e, m.TxEnergyAtLevel(i))
-		}
-		if i > 0 && tbl[i] <= tbl[i-1] {
-			t.Errorf("level energies not strictly increasing: %v", tbl)
-		}
-	}
-}
-
 func TestReachable(t *testing.T) {
 	m := Default()
 	if !m.Reachable(75) {

@@ -94,15 +94,3 @@ func ExtPlacement(opts Options) (*Figure, error) {
 	}
 	return runFigure(opts, sw)
 }
-
-// ExtPlacementLabels names ExtPlacement's x positions for table
-// rendering, in sweep order (demand-major, grid-minor).
-func ExtPlacementLabels() []string {
-	labels := make([]string, 0, 9)
-	for _, d := range []float64{0.6, 1.2, 1.8} {
-		for _, g := range []int{3, 5, 7} {
-			labels = append(labels, fmt.Sprintf("d=%.1fmW g=%dx%d", d, g, g))
-		}
-	}
-	return labels
-}

@@ -159,14 +159,9 @@ func (g *Graph) NumVertices() int { return g.n }
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return len(g.fDst) }
 
-// OutDegree returns the number of edges leaving u.
-func (g *Graph) OutDegree(u int) int { return int(g.fOff[u+1] - g.fOff[u]) }
-
-// InDegree returns the number of edges entering v.
-func (g *Graph) InDegree(v int) int { return int(g.rOff[v+1] - g.rOff[v]) }
-
 // Out materialises the outgoing edges of u in insertion order. It
-// allocates; hot paths should iterate the CSR slices via OutSlots.
+// allocates; the hot paths (Router, model's evaluators) walk the CSR
+// arrays directly.
 func (g *Graph) Out(u int) []Edge {
 	lo, hi := g.fOff[u], g.fOff[u+1]
 	out := make([]Edge, 0, hi-lo)
@@ -177,8 +172,7 @@ func (g *Graph) Out(u int) []Edge {
 }
 
 // In materialises the incoming edges of v (as Edge{To: source, Weight: w})
-// in insertion order. It allocates; hot paths should iterate the CSR
-// slices via InSlots.
+// in insertion order. It allocates, as Out does.
 func (g *Graph) In(v int) []Edge {
 	lo, hi := g.rOff[v], g.rOff[v+1]
 	in := make([]Edge, 0, hi-lo)
@@ -187,25 +181,6 @@ func (g *Graph) In(v int) []Edge {
 	}
 	return in
 }
-
-// OutSlots returns the raw forward-CSR row of u: parallel destination and
-// weight slices owned by the graph. Callers must not modify them.
-func (g *Graph) OutSlots(u int) (dst []int32, w []float64) {
-	lo, hi := g.fOff[u], g.fOff[u+1]
-	return g.fDst[lo:hi], g.fW[lo:hi]
-}
-
-// InSlots returns the raw reverse-CSR row of v: parallel source and
-// forward-slot slices owned by the graph (index fwd into Weights to read
-// the edge weight). Callers must not modify them.
-func (g *Graph) InSlots(v int) (src []int32, fwd []int32) {
-	lo, hi := g.rOff[v], g.rOff[v+1]
-	return g.rSrc[lo:hi], g.rFwd[lo:hi]
-}
-
-// Weights returns the forward-slot weight store, owned by the graph.
-// Callers must not modify it; use ReweightEdges to change weights.
-func (g *Graph) Weights() []float64 { return g.fW }
 
 // Unreachable is the distance reported for vertices with no path.
 var Unreachable = math.Inf(1)

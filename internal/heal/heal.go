@@ -53,6 +53,7 @@ type Healer struct {
 	router  *graph.Router
 	trimmer *routing.Trimmer
 	trimRes routing.TrimResult
+	merger  routing.Merger
 	spec    routing.MergeSpec
 
 	wf   model.WeightFunc // recharge-cost weights over eff/mask, bound once
@@ -191,7 +192,7 @@ func (h *Healer) Repair(old model.Tree, aliveCounts []int, dst *model.Tree) ([]i
 	parents := h.trimRes.Parent
 	if !h.opts.DisableSiblingMerge {
 		h.merged = append(h.merged[:0], parents...)
-		stats, err := routing.MergeSiblings(h.spec, h.merged)
+		stats, err := h.merger.Merge(h.spec, h.merged)
 		if err != nil {
 			return nil, err
 		}

@@ -11,8 +11,8 @@ type Move struct {
 	Delta int
 }
 
-// Evaluator is the move-based deployment-evaluation protocol every
-// solver hot loop is written against:
+// Evaluator is the move-based evaluation protocol every solver hot loop
+// is written against:
 //
 //	cost, _ := ev.Cost(m)            // establish a base deployment
 //	probe, _ := ev.CostDelta(moves)  // price base+moves without committing
@@ -26,57 +26,43 @@ type Move struct {
 // must price identically to a fresh CostEvaluator.MinCost on the
 // materialised vector (the differential and fuzz suites pin this).
 //
+// Solvers that re-scan a fixed candidate set between commits (IDB
+// rounds, local-search sweeps) probe through a slot cache instead: each
+// candidate's probe is snapshotted under a stable slot id, re-priced
+// bit-exactly while no committed move touched anything it read, and
+// promoted straight to the committed state when it wins a round.
+//
+//   - EnableProbeCache(slots) sizes the cache at slot ids [0, slots).
+//   - CostDeltaCached(id, moves, limit) is a fresh probe that snapshots
+//     its repair under slot id. pruned=true guarantees the probe's exact
+//     cost is >= limit and leaves the evaluator idle on its committed
+//     state (no Commit/Revert is due); pruned=false leaves the probe
+//     pending with its exact cost, as CostDelta does.
+//   - CachedCostBounded(id, limit) re-prices a slot against the idle
+//     committed state under the same one-way guarantee. ok=false is a
+//     miss (invalidated by an intersecting Commit or a full Cost, or
+//     never cached) and the candidate must be re-probed.
+//   - CommitCached(id) promotes a slot to the committed state. ok=false
+//     leaves the evaluator untouched, and the caller commits through
+//     CostDelta+Commit instead.
+//
+// A limit of +Inf prices exactly. Implementations may decline to cache
+// (every lookup and promotion misses) and may price exactly without ever
+// pruning: the slot calls license reuse and early answers, they never
+// change results. Every returned cost is bit-identical to re-probing,
+// which the differential suites pin.
+//
 // IncrementalEvaluator is the production implementation (local
-// shortest-path repair per probe); NewReferenceEvaluator wraps the
-// stateless CostEvaluator in the same protocol as a correctness oracle.
-// Implementations are not safe for concurrent use; parallel solvers hold
-// one per worker.
+// shortest-path repair per probe, a patch cache and patch-bound
+// pruning); NewReferenceEvaluator wraps the stateless CostEvaluator in
+// the same protocol as a correctness oracle that keeps no slots and
+// never prunes. Implementations are not safe for concurrent use;
+// parallel solvers hold one per worker.
 type Evaluator interface {
 	Cost(m []int) (float64, error)
 	CostDelta(moves []Move) (float64, error)
 	Commit() error
 	Revert() error
-}
-
-// BoundedProber is an optional Evaluator capability: CostDelta with a
-// caller-supplied cost limit. A pruned=true return guarantees the
-// probe's exact cost would have been >= limit and leaves the evaluator
-// idle on its committed state (no Commit/Revert is due); pruned=false
-// behaves exactly like CostDelta, including the pending-probe state.
-// Implementations may price exactly and never prune — the capability
-// licenses the early exit, it does not require it. IncrementalEvaluator
-// prunes only in its scan-min regime (n+1 <= 16 vertices), by abandoning
-// the re-settle once a partial lower bound crosses the limit. Branch and
-// bound first asks IncrementalEvaluator.PruneByFloor, which rejects most
-// doomed bound probes at any graph size before any move is applied, and
-// passes only the survivors here.
-type BoundedProber interface {
-	CostDeltaBounded(moves []Move, limit float64) (cost float64, pruned bool, err error)
-}
-
-// ProbeCache is an optional Evaluator capability for solvers that
-// re-scan a fixed candidate set between commits (IDB rounds,
-// local-search sweeps): each candidate's probe is snapshotted under a
-// stable slot id, re-priced bit-exactly while no committed move touched
-// anything it read, and promoted straight to the committed state when
-// it wins a round.
-//
-// CostDeltaCached(id, moves, limit) is a fresh probe that snapshots its
-// repair under slot id, with BoundedProber's contract: pruned=true
-// guarantees the exact cost is >= limit and leaves the evaluator idle;
-// pruned=false leaves the probe pending (Commit or Revert it) with its
-// exact cost. CachedCostBounded(id, limit) re-prices a slot under the
-// same one-way guarantee; ok=false is a miss (invalidated by an
-// intersecting Commit or a full Cost, or never cached) and the
-// candidate must be re-probed. A limit of +Inf prices exactly. A
-// CommitCached miss means the caller commits through the ordinary
-// protocol instead.
-//
-// Implementations may decline to cache (every lookup misses) and may
-// price exactly without ever pruning — the capability licenses reuse
-// and early answers, it never changes results: every returned cost is
-// bit-identical to re-probing, which the differential suites pin.
-type ProbeCache interface {
 	EnableProbeCache(slots int)
 	CostDeltaCached(id int, moves []Move, limit float64) (cost float64, pruned bool, err error)
 	CachedCostBounded(id int, limit float64) (cost float64, pruned, ok bool)
@@ -89,10 +75,12 @@ type ProbeCache interface {
 // in the artifact, not just in the git history next to it.
 func EvaluatorFeatures() map[string]bool {
 	return map[string]bool{
-		// Dirty-candidate pruning + probe-promoting Commit (ProbeCache).
+		// Dirty-candidate pruning + probe-promoting Commit (the
+		// Evaluator's slot calls).
 		"probe_cache":     true,
 		"probe_promotion": true,
-		// Limit-aware probes for branch-and-bound (BoundedProber).
+		// Limit-aware probes for branch-and-bound
+		// (IncrementalEvaluator.CostDeltaBounded).
 		"bounded_probes": true,
 		// Branch-and-bound rejects bound probes from the parent node's
 		// saved distances before applying any move (PruneByFloor).
@@ -109,6 +97,8 @@ func EvaluatorFeatures() map[string]bool {
 // from scratch. It is the trivially correct oracle the incremental
 // implementation is differentially tested against, and a drop-in
 // fallback for callers that want the protocol without incremental state.
+// It keeps no probe slots: CostDeltaCached is CostDelta and never prunes,
+// and every lookup and promotion misses.
 type ReferenceEvaluator struct {
 	ev      *CostEvaluator
 	cur     []int
@@ -183,3 +173,20 @@ func (r *ReferenceEvaluator) Revert() error {
 	r.probed = false
 	return nil
 }
+
+// EnableProbeCache is a no-op: the reference evaluator keeps no slots.
+func (r *ReferenceEvaluator) EnableProbeCache(int) {}
+
+// CostDeltaCached is CostDelta; it never prunes and caches nothing.
+func (r *ReferenceEvaluator) CostDeltaCached(_ int, moves []Move, _ float64) (float64, bool, error) {
+	cost, err := r.CostDelta(moves)
+	return cost, false, err
+}
+
+// CachedCostBounded always misses.
+func (r *ReferenceEvaluator) CachedCostBounded(int, float64) (float64, bool, bool) {
+	return 0, false, false
+}
+
+// CommitCached always misses, leaving the evaluator untouched.
+func (r *ReferenceEvaluator) CommitCached(int) (float64, bool) { return 0, false }

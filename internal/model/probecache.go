@@ -121,7 +121,7 @@ func (ev *IncrementalEvaluator) CacheProbe(id int) {
 // journaled repair's exact cost is the committed cost minus its patch
 // delta, so when patchBound proves it at or above limit+boundedSlack
 // the probe is reverted without the O(N) totalCost fold and
-// pruned=true returns with the evaluator idle (BoundedProber's
+// pruned=true returns with the evaluator idle (the Evaluator
 // contract). The slot keeps the snapshot either way, so the next round
 // re-prices the candidate from the cache instead of re-repairing it.
 // Unpruned, the probe is pending and its cost is bit-identical to

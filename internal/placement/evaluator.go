@@ -113,7 +113,9 @@ func (c *costModel) checkMoves(moves []model.Move) error {
 
 // ReferenceEvaluator prices every probe from scratch — the trivially
 // correct oracle IncrementalEvaluator is differentially tested against.
-// It implements model.Evaluator.
+// It implements model.Evaluator and keeps no probe slots:
+// CostDeltaCached is CostDelta and never prunes, and every lookup and
+// promotion misses.
 type ReferenceEvaluator struct {
 	c       *costModel
 	cur     []int
@@ -192,6 +194,23 @@ func (r *ReferenceEvaluator) Revert() error {
 	r.probed = false
 	return nil
 }
+
+// EnableProbeCache is a no-op: the reference evaluator keeps no slots.
+func (r *ReferenceEvaluator) EnableProbeCache(int) {}
+
+// CostDeltaCached is CostDelta; it never prunes and caches nothing.
+func (r *ReferenceEvaluator) CostDeltaCached(_ int, moves []model.Move, _ float64) (float64, bool, error) {
+	cost, err := r.CostDelta(moves)
+	return cost, false, err
+}
+
+// CachedCostBounded always misses.
+func (r *ReferenceEvaluator) CachedCostBounded(int, float64) (float64, bool, bool) {
+	return 0, false, false
+}
+
+// CommitCached always misses, leaving the evaluator untouched.
+func (r *ReferenceEvaluator) CommitCached(int) (float64, bool) { return 0, false }
 
 // supplyUndo restores one post's supply on Revert.
 type supplyUndo struct {

@@ -104,8 +104,8 @@ func (e *IncrementalEvaluator) CachedCost(id int) (float64, bool) {
 	return cost, true
 }
 
-// CostDeltaCached is CostDelta followed by CacheProbe(id), satisfying
-// model.ProbeCache. Placement prices exactly and never prunes: a probe
+// CostDeltaCached is CostDelta followed by CacheProbe(id), the
+// model.Evaluator slot probe. Placement prices exactly and never prunes: a probe
 // re-prices the touched posts' supplies into a full price sum, with no
 // patch-local bound to stop early on.
 func (e *IncrementalEvaluator) CostDeltaCached(id int, moves []model.Move, _ float64) (float64, bool, error) {
@@ -117,8 +117,8 @@ func (e *IncrementalEvaluator) CostDeltaCached(id int, moves []model.Move, _ flo
 	return cost, false, nil
 }
 
-// CachedCostBounded is CachedCost satisfying model.ProbeCache; it never
-// prunes.
+// CachedCostBounded is CachedCost as the model.Evaluator slot lookup;
+// it never prunes.
 func (e *IncrementalEvaluator) CachedCostBounded(id int, _ float64) (float64, bool, bool) {
 	cost, ok := e.CachedCost(id)
 	return cost, false, ok

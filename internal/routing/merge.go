@@ -7,7 +7,7 @@ import (
 	"wrsn/internal/geom"
 )
 
-// MergeSpec carries what MergeSiblings needs to know about the network:
+// MergeSpec carries what Merger.Merge needs to know about the network:
 // hop feasibility and per-bit transmit energy between vertices. It is an
 // interface-free adapter so the routing package stays decoupled from
 // package model (model adapts a Problem to it).
@@ -49,18 +49,53 @@ type MergeStats struct {
 	Reparented int
 }
 
-// MergeSiblings implements Phase III of RFH: for every vertex, children
-// that can reach a sibling with strictly cheaper transmit energy than
-// their common parent are re-parented onto that sibling (the group
-// "head"), concentrating routing workload further. Heads are chosen
-// greedily in decreasing-workload order (ties: lower index), so heavier
-// posts absorb their cheaper-to-reach siblings; a re-parented member is
-// never itself a head. The parent vector is modified in place.
+// Merger runs Phase-III merges repeatedly without re-allocating: the
+// CSR child lists, workload and leaves-first buffers, candidate order
+// and assignment marks all persist across calls. The iterative callers
+// (RFH's per-round merge, heal's per-repair merge) hold one for the life
+// of a problem instance; once its buffers have grown to the post count,
+// Merge allocates nothing. The zero value is ready to use.
+type Merger struct {
+	childOff  []int // v's children are childList[childOff[v]:childOff[v+1]]
+	childList []int
+	workload  []int
+	order     []int
+	pending   []int
+	sorter    workloadSorter
+	assigned  []bool
+}
+
+// workloadSorter orders sibling candidates by decreasing workload, ties
+// by ascending index — a total order, so every sort algorithm yields the
+// same permutation. A named type (not a sort.Slice closure) keeps
+// sorting allocation-free.
+type workloadSorter struct {
+	order    []int
+	workload []int
+}
+
+func (s *workloadSorter) Len() int      { return len(s.order) }
+func (s *workloadSorter) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
+func (s *workloadSorter) Less(i, j int) bool {
+	wa, wb := s.workload[s.order[i]], s.workload[s.order[j]]
+	if wa != wb {
+		return wa > wb
+	}
+	return s.order[i] < s.order[j]
+}
+
+// Merge implements Phase III of RFH: for every vertex, children that
+// can reach a sibling with strictly cheaper transmit energy than their
+// common parent are re-parented onto that sibling (the group "head"),
+// concentrating routing workload further. Heads are chosen greedily in
+// decreasing-workload order (ties: lower index), so heavier posts absorb
+// their cheaper-to-reach siblings; a re-parented member is never itself
+// a head. The parent vector is modified in place.
 //
 // Re-parenting a post under a sibling cannot create a cycle: the head
 // remains a child of the original parent, and members' subtrees hang
 // intact under the head.
-func MergeSiblings(spec MergeSpec, parent []int) (MergeStats, error) {
+func (m *Merger) Merge(spec MergeSpec, parent []int) (MergeStats, error) {
 	n := spec.NPosts
 	if len(parent) != n {
 		return MergeStats{}, fmt.Errorf("routing: parent vector covers %d posts, want %d", len(parent), n)
@@ -70,7 +105,12 @@ func MergeSiblings(spec MergeSpec, parent []int) (MergeStats, error) {
 	}
 	skipped := func(u int) bool { return spec.Skip != nil && spec.Skip[u] }
 
-	children := make([][]int, n+1)
+	// Child lists in CSR form, each in ascending post order: count into
+	// off[p+2], prefix-sum, then fill with off[p+1] as p's cursor, which
+	// leaves p's children at list[off[p]:off[p+1]].
+	m.childOff = resizeInts(m.childOff, n+3)
+	off := m.childOff
+	clear(off)
 	for u := 0; u < n; u++ {
 		if skipped(u) {
 			continue
@@ -79,26 +119,38 @@ func MergeSiblings(spec MergeSpec, parent []int) (MergeStats, error) {
 		if p < 0 || p > n || p == u {
 			return MergeStats{}, fmt.Errorf("routing: post %d has invalid parent %d", u, p)
 		}
-		children[p] = append(children[p], u)
+		off[p+2]++
 	}
-	workload := treeWorkloads(parent, spec.Skip, nil, nil, nil)
+	for v := 2; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	m.childList = resizeInts(m.childList, off[n+2])
+	list := m.childList
+	for u := 0; u < n; u++ {
+		if !skipped(u) {
+			list[off[parent[u]+1]] = u
+			off[parent[u]+1]++
+		}
+	}
+	m.order, m.pending = resizeInts(m.order, n), resizeInts(m.pending, n)
+	m.workload = treeWorkloads(parent, spec.Skip, m.workload, m.order, m.pending)
+	m.sorter.workload = m.workload
+	if cap(m.assigned) < n {
+		m.assigned = make([]bool, n)
+	}
+	assigned := m.assigned[:n]
+	clear(assigned)
 
 	var stats MergeStats
 	for v := 0; v <= n; v++ {
-		kids := children[v]
+		kids := list[off[v]:off[v+1]]
 		if len(kids) < 2 {
 			continue
 		}
 		// Candidates in decreasing workload (subtree weight) order.
-		ordered := append([]int(nil), kids...)
-		sort.Slice(ordered, func(a, b int) bool {
-			wa, wb := workload[ordered[a]], workload[ordered[b]]
-			if wa != wb {
-				return wa > wb
-			}
-			return ordered[a] < ordered[b]
-		})
-		assigned := make(map[int]bool, len(ordered))
+		m.sorter.order = append(m.sorter.order[:0], kids...)
+		sort.Sort(&m.sorter)
+		ordered := m.sorter.order
 		for _, head := range ordered {
 			if assigned[head] {
 				continue

@@ -5,7 +5,7 @@
 //     single routing tree while concentrating forwarding workload onto as
 //     few posts as possible, so that node deployment can buy those posts
 //     high charging efficiency.
-//   - MergeSiblings (Phase III) opportunistically re-parents children onto
+//   - Merger (Phase III) opportunistically re-parents children onto
 //     a cheaper-to-reach sibling, concentrating workload further.
 //
 // Both phases operate on parent vectors over posts 0..N-1 with the base

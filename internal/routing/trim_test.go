@@ -168,7 +168,7 @@ func TestTrimErrors(t *testing.T) {
 }
 
 // problemFor builds a connected random instance for property tests.
-func problemFor(t *testing.T, seed int64, side float64, n, m int) *model.Problem {
+func problemFor(t testing.TB, seed int64, side float64, n, m int) *model.Problem {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	field := geom.Square(side)

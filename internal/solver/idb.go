@@ -114,18 +114,15 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 	ub := upperBounds(inst)
 	var evaluations int64
 	moves := make([]model.Move, 0, delta)
-	// Dirty-candidate pruning: with a probe cache, each single-unit
-	// candidate's repair is snapshotted under its post id; rounds after
-	// a commit re-probe only the candidates the commit's dirty region
-	// could have changed and re-price the rest bit-exactly from their
-	// cached patch (not counted as evaluations — no repair ran).
-	pc, _ := ev.(model.ProbeCache)
-	if pc != nil {
-		pc.EnableProbeCache(n)
-	}
+	// Dirty-candidate pruning: each single-unit candidate's repair is
+	// snapshotted under its post id; rounds after a commit re-probe only
+	// the candidates the commit's dirty region could have changed and
+	// re-price the rest bit-exactly from their cached patch (not counted
+	// as evaluations — no repair ran).
+	ev.EnableProbeCache(n)
 	total, fixedTotal := inst.FixedTotal()
 	if !fixedTotal {
-		if err := idbGrow(ctx, ev, pc, cur, curCost, ub, &evaluations); err != nil {
+		if err := idbGrow(ctx, ev, cur, curCost, ub, &evaluations); err != nil {
 			return nil, 0, err
 		}
 		return cur, evaluations, nil
@@ -164,7 +161,7 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 			// upper-bound guard never fires for deployment (one post at
 			// its cap forces all others to their floor, leaving nothing
 			// to place), so the deployment path is unchanged.
-			bestI, _, err := bestUnitAdd(ctx, ev, pc, cur, ub, &evaluations)
+			bestI, _, err := bestUnitAdd(ctx, ev, cur, ub, &evaluations)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -225,8 +222,8 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 		// candidate evaluation) and accept, making it the next round's
 		// base.
 		committed := false
-		if pc != nil && step == 1 {
-			_, committed = pc.CommitCached(winnerPost(bestExtra))
+		if step == 1 {
+			_, committed = ev.CommitCached(winnerPost(bestExtra))
 		}
 		if !committed {
 			if _, err := ev.CostDelta(extraMoves(bestExtra)); err != nil {
@@ -260,25 +257,23 @@ func winnerPost(extra []int) int {
 // every dimension with headroom and commits the cheapest while it
 // strictly improves on the committed cost. The unit-wise growth mirrors
 // the δ=1 path's candidate order and tie-breaking.
-func idbGrow(ctx context.Context, ev model.Evaluator, pc model.ProbeCache, cur []int, curCost float64, ub []int, evaluations *int64) error {
+func idbGrow(ctx context.Context, ev model.Evaluator, cur []int, curCost float64, ub []int, evaluations *int64) error {
 	mv := make([]model.Move, 1)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bestI, bestCost, err := bestUnitAdd(ctx, ev, pc, cur, ub, evaluations)
+		bestI, bestCost, err := bestUnitAdd(ctx, ev, cur, ub, evaluations)
 		if err != nil {
 			return err
 		}
 		if bestI < 0 || bestCost >= curCost-costSlack {
 			return nil
 		}
-		if pc != nil {
-			if cost, ok := pc.CommitCached(bestI); ok {
-				cur[bestI]++
-				curCost = cost
-				continue
-			}
+		if cost, ok := ev.CommitCached(bestI); ok {
+			cur[bestI]++
+			curCost = cost
+			continue
 		}
 		mv[0] = model.Move{Post: bestI, Delta: 1}
 		cost, err := ev.CostDelta(mv)
@@ -303,7 +298,7 @@ func idbGrow(ctx context.Context, ev model.Evaluator, pc model.ProbeCache, cur [
 // the pricing limit — a candidate priced pruned (exact cost >= limit)
 // could not have replaced the incumbent, so bounded pricing never
 // changes the winner.
-func bestUnitAdd(ctx context.Context, ev model.Evaluator, pc model.ProbeCache, cur, ub []int, evaluations *int64) (int, float64, error) {
+func bestUnitAdd(ctx context.Context, ev model.Evaluator, cur, ub []int, evaluations *int64) (int, float64, error) {
 	mv := make([]model.Move, 1)
 	bestI, bestCost := -1, 0.0
 	for i := len(cur) - 1; i >= 0; i-- {
@@ -314,13 +309,7 @@ func bestUnitAdd(ctx context.Context, ev model.Evaluator, pc model.ProbeCache, c
 		if bestI >= 0 {
 			limit = bestCost - costSlack
 		}
-		var (
-			cost        float64
-			pruned, hit bool
-		)
-		if pc != nil {
-			cost, pruned, hit = pc.CachedCostBounded(i, limit)
-		}
+		cost, pruned, hit := ev.CachedCostBounded(i, limit)
 		if !hit {
 			if *evaluations%ctxCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -329,7 +318,7 @@ func bestUnitAdd(ctx context.Context, ev model.Evaluator, pc model.ProbeCache, c
 			}
 			mv[0] = model.Move{Post: i, Delta: 1}
 			var err error
-			cost, pruned, err = priceCandidate(ev, pc, i, mv, limit)
+			cost, pruned, err = priceCandidate(ev, i, mv, limit)
 			*evaluations++
 			if err != nil {
 				return 0, 0, err
@@ -342,27 +331,16 @@ func bestUnitAdd(ctx context.Context, ev model.Evaluator, pc model.ProbeCache, c
 	return bestI, bestCost, nil
 }
 
-// priceCandidate is probeCandidate followed by a Revert of an unpruned
-// probe: it leaves ev idle.
-func priceCandidate(ev model.Evaluator, pc model.ProbeCache, id int, mv []model.Move, limit float64) (float64, bool, error) {
-	cost, pruned, err := probeCandidate(ev, pc, id, mv, limit)
+// priceCandidate prices the committed solution with mv applied through
+// CostDeltaCached, snapshotting its repair under slot id, and reverts an
+// unpruned probe: it leaves ev idle. pruned=true means the exact cost
+// is >= limit.
+func priceCandidate(ev model.Evaluator, id int, mv []model.Move, limit float64) (float64, bool, error) {
+	cost, pruned, err := ev.CostDeltaCached(id, mv, limit)
 	if err != nil || pruned {
 		return 0, pruned, err
 	}
 	return cost, false, ev.Revert()
-}
-
-// probeCandidate prices the committed solution with mv applied. With a
-// probe cache the probe goes through CostDeltaCached, snapshotting its
-// repair under slot id and answering pruned=true (exact cost >= limit,
-// ev left idle) when its patch proves it; without one it is a plain
-// CostDelta and never prunes. An unpruned probe is left pending.
-func probeCandidate(ev model.Evaluator, pc model.ProbeCache, id int, mv []model.Move, limit float64) (float64, bool, error) {
-	if pc != nil {
-		return pc.CostDeltaCached(id, mv, limit)
-	}
-	cost, err := ev.CostDelta(mv)
-	return cost, false, err
 }
 
 // less orders δ>1 candidates by (cost, lexicographic placement). Cost

@@ -45,15 +45,11 @@ func idbParallelSearch(ctx context.Context, inst model.Instance, evaluators []mo
 		remaining -= c
 	}
 	workers := len(evaluators)
-	caches := make([]model.ProbeCache, workers)
-	for w, ev := range evaluators {
+	for _, ev := range evaluators {
 		if _, err := ev.Cost(cur); err != nil {
 			return nil, 0, err
 		}
-		if pc, ok := ev.(model.ProbeCache); ok {
-			pc.EnableProbeCache(n)
-			caches[w] = pc
-		}
+		ev.EnableProbeCache(n)
 	}
 	var evaluations int64
 	costs := make([]float64, n)
@@ -71,7 +67,7 @@ func idbParallelSearch(ctx context.Context, inst model.Instance, evaluators []mo
 				if w >= n {
 					return // more workers than candidates: empty stripe
 				}
-				ev, pc := evaluators[w], caches[w]
+				ev := evaluators[w]
 				var mv [1]model.Move
 				var seen int64
 				for i := w + ((n - 1 - w) / workers * workers); i >= 0; i -= workers {
@@ -89,14 +85,12 @@ func idbParallelSearch(ctx context.Context, inst model.Instance, evaluators []mo
 					// best over its stripe is not the sequential scan's
 					// incumbent, so no limit from it is sound against the
 					// replay below.
-					if pc != nil {
-						if cost, _, ok := pc.CachedCostBounded(i, math.Inf(1)); ok {
-							costs[i] = cost
-							continue
-						}
+					if cost, _, ok := ev.CachedCostBounded(i, math.Inf(1)); ok {
+						costs[i] = cost
+						continue
 					}
 					mv[0] = model.Move{Post: i, Delta: 1}
-					cost, _, err := priceCandidate(ev, pc, i, mv[:], math.Inf(1))
+					cost, _, err := priceCandidate(ev, i, mv[:], math.Inf(1))
 					counts[w]++
 					if err != nil {
 						errs[w] = err
@@ -131,11 +125,9 @@ func idbParallelSearch(ctx context.Context, inst model.Instance, evaluators []mo
 		}
 		// Commit the winner into every worker's evaluator so the caches
 		// stay coherent with the shared base.
-		for w, ev := range evaluators {
-			if caches[w] != nil {
-				if _, ok := caches[w].CommitCached(bestI); ok {
-					continue
-				}
+		for _, ev := range evaluators {
+			if _, ok := ev.CommitCached(bestI); ok {
+				continue
 			}
 			var mv [1]model.Move
 			mv[0] = model.Move{Post: bestI, Delta: 1}

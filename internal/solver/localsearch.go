@@ -118,17 +118,14 @@ func climb(ctx context.Context, inst model.Instance, ev model.Evaluator, cur []i
 	}
 	// Dirty-candidate pruning: first-improvement sweeps restart from the
 	// top of the neighbourhood after every accepted move, so the same
-	// early candidates are probed again and again. With a probe cache
-	// each candidate's repair is snapshotted under a stable slot id —
-	// removal i at i, addition i at n+i, transfer (from,to) at
-	// 2n+from*n+to — and re-priced bit-exactly unless the accepted move
-	// dirtied something it read; accepted cached candidates promote
-	// straight to the committed state. Cache hits run no repair and are
-	// not counted as evaluations.
-	pc, _ := ev.(model.ProbeCache)
-	if pc != nil {
-		pc.EnableProbeCache(2*n + n*n)
-	}
+	// early candidates are probed again and again. Each candidate's
+	// repair is snapshotted under a stable slot id — removal i at i,
+	// addition i at n+i, transfer (from,to) at 2n+from*n+to — and
+	// re-priced bit-exactly unless the accepted move dirtied something
+	// it read; accepted cached candidates promote straight to the
+	// committed state. Cache hits run no repair and are not counted as
+	// evaluations.
+	ev.EnableProbeCache(2*n + n*n)
 	var evaluations, probes int64
 	moves := make([]model.Move, 2)
 	// probe prices mv (cached under slot id when possible); on strict
@@ -145,23 +142,21 @@ func climb(ctx context.Context, inst model.Instance, ev model.Evaluator, cur []i
 		// pruned (exact cost >= limit) rejects exactly what the accept
 		// test would.
 		limit := curCost - costSlack
-		if pc != nil {
-			if cost, pruned, ok := pc.CachedCostBounded(id, limit); ok {
-				if pruned || cost >= limit {
-					return false, nil
-				}
-				if promoted, ok := pc.CommitCached(id); ok {
-					for _, m := range mv {
-						cur[m.Post] += m.Delta
-					}
-					curCost = promoted
-					return true, nil
-				}
-				// Promotion declined (never expected after a hit):
-				// fall through to a fresh probe.
+		if cost, pruned, ok := ev.CachedCostBounded(id, limit); ok {
+			if pruned || cost >= limit {
+				return false, nil
 			}
+			if promoted, ok := ev.CommitCached(id); ok {
+				for _, m := range mv {
+					cur[m.Post] += m.Delta
+				}
+				curCost = promoted
+				return true, nil
+			}
+			// Promotion declined (never expected after a hit): fall
+			// through to a fresh probe.
 		}
-		cost, pruned, evalErr := probeCandidate(ev, pc, id, mv, limit)
+		cost, pruned, evalErr := ev.CostDeltaCached(id, mv, limit)
 		evaluations++
 		if evalErr != nil || pruned {
 			return false, evalErr

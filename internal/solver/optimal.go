@@ -77,13 +77,12 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 		return nil, err
 	}
 	n := p.N()
-	// The concrete evaluator, not p.NewEvaluator's interface: the floor
-	// bound is an IncrementalEvaluator method.
-	inc, err := model.NewIncrementalEvaluator(p)
+	// The delta funnel holds the concrete IncrementalEvaluator, whose
+	// floor bound the search calls directly.
+	ev, err := newDeltaEvaluator(p)
 	if err != nil {
 		return nil, err
 	}
-	ev := &deltaEvaluator{ev: inc, prev: make([]int, n)}
 
 	incumbent := opts.Incumbent
 	if incumbent == nil {
@@ -124,11 +123,11 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 	// and produces no float: either the floor bound already rejects it,
 	// before any move is applied (model.IncrementalEvaluator.PruneByFloor),
 	// or the bounded evaluator abandons it mid-settle
-	// (model.BoundedProber). Pruned probes are not counted in Evaluations,
-	// so MaxEvaluations budgets *completed* evaluations, matching the
-	// reported counter. Cancellation and the budget are checked on the
-	// probe cadence, pruned probes included, so long pruned streaks cannot
-	// stall either.
+	// (model.IncrementalEvaluator.CostDeltaBounded). Pruned probes are not
+	// counted in Evaluations, so MaxEvaluations budgets *completed*
+	// evaluations, matching the reported counter. Cancellation and the
+	// budget are checked on the probe cadence, pruned probes included, so
+	// long pruned streaks cannot stall either.
 	evaluate := func(m []int, floor *model.Floor) (float64, bool, error) {
 		probes++
 		if opts.MaxEvaluations > 0 && evaluations >= opts.MaxEvaluations {
@@ -141,7 +140,7 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 		}
 		limit := bestCost - costSlack
 		if floor != nil {
-			doomed, err := inc.PruneByFloor(floor, m, limit)
+			doomed, err := ev.ev.PruneByFloor(floor, m, limit)
 			if err != nil || doomed {
 				return 0, doomed, err
 			}
@@ -201,7 +200,7 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 		// The probe above left this bound vector committed. Every child
 		// lowers the branched post to m and the undecided posts to
 		// maxEach-m+1, so these exact distances floor all of them.
-		if err := inc.SaveFloor(&floors[depth]); err != nil {
+		if err := ev.ev.SaveFloor(&floors[depth]); err != nil {
 			return err
 		}
 		post := order[depth]
@@ -221,7 +220,7 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 		return nil, err
 	}
 
-	parents, _, err := ev.bestParents(bestDeploy)
+	parents, _, err := ev.ev.BestParents(bestDeploy)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +279,7 @@ func NaiveExact(p *model.Problem) (*Result, error) {
 	if bestDeploy == nil {
 		return nil, errors.New("solver: exhaustive search found no deployment")
 	}
-	parents, _, err := ev.bestParents(bestDeploy)
+	parents, _, err := ev.ev.BestParents(bestDeploy)
 	if err != nil {
 		return nil, err
 	}

@@ -12,34 +12,19 @@ import (
 	"wrsn/internal/placement"
 )
 
-// plainInstance hides the production evaluator's optional capabilities
-// (ProbeCache, BoundedProber) behind the bare 4-method protocol,
-// forcing the solvers onto their uncached paths. Comparing a
-// normal run against a plainInstance run pins the dirty-candidate
-// pruning contract: bit-identical costs and solutions with no more —
-// and on cache-friendly inputs strictly fewer — evaluations.
+// plainInstance hands the solvers the instance's reference evaluator,
+// which keeps no probe slots and never prunes, so every candidate is a
+// fresh from-scratch probe. Comparing a normal run against a
+// plainInstance run pins the dirty-candidate pruning contract:
+// bit-identical costs and solutions with no more — and on
+// cache-friendly inputs strictly fewer — evaluations.
 type plainInstance struct {
 	model.Instance
 }
 
 func (pi plainInstance) NewEvaluator() (model.Evaluator, error) {
-	ev, err := pi.Instance.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	return &plainEvaluator{ev: ev}, nil
+	return pi.Instance.NewReferenceEvaluator()
 }
-
-// plainEvaluator forwards exactly the Evaluator protocol and nothing
-// else.
-type plainEvaluator struct {
-	ev model.Evaluator
-}
-
-func (p *plainEvaluator) Cost(m []int) (float64, error)                 { return p.ev.Cost(m) }
-func (p *plainEvaluator) CostDelta(moves []model.Move) (float64, error) { return p.ev.CostDelta(moves) }
-func (p *plainEvaluator) Commit() error                                 { return p.ev.Commit() }
-func (p *plainEvaluator) Revert() error                                 { return p.ev.Revert() }
 
 // testPlacementInstance mirrors the placement package's differential
 // instance: parameter spread so probes cross coverage boundaries.
@@ -74,10 +59,11 @@ func testPlacementInstance(t testing.TB, seed int64) *placement.Instance {
 	return inst
 }
 
-// TestIDBDirtyPruningDifferential runs IDB with and without the probe
-// cache over both problem families and pins bit-identical costs and
-// solution vectors while requiring the cached run to evaluate no more —
-// and in aggregate strictly fewer — candidates.
+// TestIDBDirtyPruningDifferential runs IDB on the production evaluator
+// and on the reference evaluator over both problem families and pins
+// bit-identical costs and solution vectors while requiring the cached
+// run to evaluate no more — and in aggregate strictly fewer —
+// candidates.
 func TestIDBDirtyPruningDifferential(t *testing.T) {
 	ctx := context.Background()
 	var cachedTotal, plainTotal int64
@@ -172,8 +158,8 @@ type instanceOnly struct {
 }
 
 // plainlessWrap routes an instance through the same wrapper depth as
-// plainInstance without hiding any capability, so the two runs differ
-// only in what the evaluator exposes.
+// plainInstance while keeping the production evaluator, so the two runs
+// differ only in the evaluator.
 func plainlessWrap(inst model.Instance) model.Instance {
 	return instanceOnly{inst}
 }
@@ -191,31 +177,22 @@ func (ei exactPricingInstance) NewEvaluator() (model.Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc, ok := ev.(model.ProbeCache)
-	if !ok {
-		return nil, fmt.Errorf("evaluator %T has no probe cache", ev)
-	}
-	return &exactPricingEvaluator{Evaluator: ev, pc: pc}, nil
+	return &exactPricingEvaluator{ev}, nil
 }
 
-// exactPricingEvaluator is the Evaluator protocol plus a ProbeCache that
-// always prices exactly.
+// exactPricingEvaluator is the production evaluator with both bounded
+// pricing calls forced to limit +Inf.
 type exactPricingEvaluator struct {
 	model.Evaluator
-	pc model.ProbeCache
 }
 
-func (e *exactPricingEvaluator) EnableProbeCache(slots int) { e.pc.EnableProbeCache(slots) }
-
 func (e *exactPricingEvaluator) CostDeltaCached(id int, moves []model.Move, _ float64) (float64, bool, error) {
-	return e.pc.CostDeltaCached(id, moves, math.Inf(1))
+	return e.Evaluator.CostDeltaCached(id, moves, math.Inf(1))
 }
 
 func (e *exactPricingEvaluator) CachedCostBounded(id int, _ float64) (float64, bool, bool) {
-	return e.pc.CachedCostBounded(id, math.Inf(1))
+	return e.Evaluator.CachedCostBounded(id, math.Inf(1))
 }
-
-func (e *exactPricingEvaluator) CommitCached(id int) (float64, bool) { return e.pc.CommitCached(id) }
 
 // recordingInstance keeps the deployment evaluators a solver builds, so
 // a test can read their counters afterwards.

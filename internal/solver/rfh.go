@@ -80,7 +80,8 @@ func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, er
 
 	// One-time graph machinery, reused every round: the communication
 	// graph with cached hop energies, the Dijkstra router (heap, distance
-	// vector and DAG recycled through Reset), and the Phase-II trimmer.
+	// vector and DAG recycled through Reset), the Phase-II trimmer and
+	// the Phase-III merger.
 	cg, err := model.NewCommGraph(p)
 	if err != nil {
 		return nil, err
@@ -89,6 +90,7 @@ func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, er
 	trimmer := routing.NewTrimmer(p.N())
 	var trimmed routing.TrimResult
 
+	var merger routing.Merger
 	mergeSpec := routing.MergeSpec{
 		NPosts:          p.N(),
 		Pos:             p.Point,
@@ -143,7 +145,7 @@ func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, er
 		candidates := [][]int{trimmed.Parent}
 		if !opts.DisableSiblingMerge {
 			merged := append([]int(nil), trimmed.Parent...)
-			stats, err := routing.MergeSiblings(mergeSpec, merged)
+			stats, err := merger.Merge(mergeSpec, merged)
 			if err != nil {
 				return nil, err
 			}

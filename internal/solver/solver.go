@@ -37,6 +37,7 @@ package solver
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"wrsn/internal/model"
 )
@@ -163,37 +164,47 @@ func finishInstance(inst model.Instance, cur []int, evaluations int64) (*Result,
 	}, nil
 }
 
-// deltaEvaluator adapts the move-based model.Evaluator protocol to
-// solvers that probe whole vectors (branch-and-bound bounds, exhaustive
-// enumeration): each query is diffed against the previously evaluated
-// vector and priced as a committed delta probe, so successive queries
-// that share most of their entries — sibling search nodes, adjacent
-// compositions — pay only for what changed.
+// deltaEvaluator adapts the deployment evaluator to solvers that probe
+// whole vectors (branch-and-bound bounds, exhaustive enumeration): each
+// query is diffed against the previously evaluated vector and priced as
+// a committed delta probe, so successive queries that share most of
+// their entries — sibling search nodes, adjacent compositions — pay
+// only for what changed. Both users solve only the deployment problem,
+// so it holds the concrete IncrementalEvaluator.
 type deltaEvaluator struct {
-	ev    model.Evaluator
+	ev    *model.IncrementalEvaluator
 	prev  []int
 	moves []model.Move
 	have  bool
 }
 
-func newDeltaEvaluator(inst model.Instance) (*deltaEvaluator, error) {
-	ev, err := inst.NewEvaluator()
+func newDeltaEvaluator(p *model.Problem) (*deltaEvaluator, error) {
+	ev, err := model.NewIncrementalEvaluator(p)
 	if err != nil {
 		return nil, err
 	}
-	return &deltaEvaluator{ev: ev, prev: make([]int, inst.Dims())}, nil
+	return &deltaEvaluator{ev: ev, prev: make([]int, p.N())}, nil
 }
 
 // eval prices m, committing it as the base for the next diff.
 func (d *deltaEvaluator) eval(m []int) (float64, error) {
+	cost, _, err := d.evalBounded(m, math.Inf(1))
+	return cost, err
+}
+
+// evalBounded is eval with a prune threshold: when a probe proves its
+// cost >= limit (IncrementalEvaluator.CostDeltaBounded) it is abandoned
+// — pruned=true returns with the previous vector still committed, so
+// the next diff is unaffected. The first, full evaluation never prunes.
+func (d *deltaEvaluator) evalBounded(m []int, limit float64) (cost float64, pruned bool, err error) {
 	if !d.have {
-		cost, err := d.ev.Cost(m)
+		cost, err = d.ev.Cost(m)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		copy(d.prev, m)
 		d.have = true
-		return cost, nil
+		return cost, false, nil
 	}
 	d.moves = d.moves[:0]
 	for i, mi := range m {
@@ -201,36 +212,7 @@ func (d *deltaEvaluator) eval(m []int) (float64, error) {
 			d.moves = append(d.moves, model.Move{Post: i, Delta: mi - d.prev[i]})
 		}
 	}
-	cost, err := d.ev.CostDelta(d.moves)
-	if err != nil {
-		return 0, err
-	}
-	if err := d.ev.Commit(); err != nil {
-		return 0, err
-	}
-	copy(d.prev, m)
-	return cost, nil
-}
-
-// evalBounded is eval with a prune threshold: when the underlying
-// evaluator can bound probes (model.BoundedProber) and a probe proves
-// its cost >= limit, it is abandoned — pruned=true returns with the
-// previous vector still committed, so the next diff is unaffected.
-// Without the capability (or on the first, full evaluation) it degrades
-// to the exact eval and never prunes.
-func (d *deltaEvaluator) evalBounded(m []int, limit float64) (cost float64, pruned bool, err error) {
-	bp, ok := d.ev.(model.BoundedProber)
-	if !ok || !d.have {
-		cost, err = d.eval(m)
-		return cost, false, err
-	}
-	d.moves = d.moves[:0]
-	for i, mi := range m {
-		if mi != d.prev[i] {
-			d.moves = append(d.moves, model.Move{Post: i, Delta: mi - d.prev[i]})
-		}
-	}
-	cost, pruned, err = bp.CostDeltaBounded(d.moves, limit)
+	cost, pruned, err = d.ev.CostDeltaBounded(d.moves, limit)
 	if err != nil || pruned {
 		return 0, pruned, err
 	}
@@ -239,12 +221,4 @@ func (d *deltaEvaluator) evalBounded(m []int, limit float64) (cost float64, prun
 	}
 	copy(d.prev, m)
 	return cost, false, nil
-}
-
-func (d *deltaEvaluator) bestParents(m []int) ([]int, float64, error) {
-	bp, ok := d.ev.(parentsProvider)
-	if !ok {
-		return nil, 0, fmt.Errorf("solver: evaluator %T cannot report parents", d.ev)
-	}
-	return bp.BestParents(m)
 }

@@ -108,8 +108,11 @@ type (
 	// Move adjusts one post's node count by a (possibly negative) delta —
 	// the unit of the delta-aware evaluation protocol.
 	Move = model.Move
-	// Evaluator is the move-based deployment-evaluation protocol
-	// (Cost / CostDelta / Commit / Revert) the solvers' hot loops run on.
+	// Evaluator is the move-based evaluation protocol the solvers' hot
+	// loops run on: Cost / CostDelta / Commit / Revert, plus the probe
+	// slot calls (EnableProbeCache / CostDeltaCached / CachedCostBounded
+	// / CommitCached) that let IDB and local search re-price and promote
+	// unchanged candidates.
 	Evaluator = model.Evaluator
 	// IncrementalEvaluator prices CostDelta probes by repairing the last
 	// committed deployment's shortest-path solution instead of
