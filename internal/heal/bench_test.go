@@ -7,10 +7,9 @@ import (
 )
 
 // benchRepair prices one online repair on a 30-post chain with one dead
-// post mid-line, against a persistent Healer. The merge-disabled arm is
-// the simulator's hot path and is CI-gated at 0 allocs/op; the merge arm
-// pays for its candidate evaluation (model.EvaluateDegraded) and is
-// reported for comparison.
+// post mid-line, against a persistent Healer. Both arms — the
+// merge-disabled hot path and the merge arm with its degraded-cost
+// price-off — are CI-gated at 0 allocs/op.
 func benchRepair(b *testing.B, opts Options) {
 	const n, m = 30, 90
 	p, tree := lineProblem(b, n, m)

@@ -17,7 +17,7 @@
 // shortest-path run, reweighting edges in place at the surviving
 // strengths — one masked Dijkstra per repair yields both survivor
 // reachability and the repair fat tree, with no per-repair graph
-// construction and (merge disabled) no steady-state allocations.
+// construction and no steady-state allocations.
 package heal
 
 import (
@@ -32,10 +32,7 @@ import (
 // Options tunes tree repair.
 type Options struct {
 	// DisableSiblingMerge skips the Phase III sibling merge on the
-	// rebuilt survivor tree. Besides being the ablation knob, disabling
-	// it makes Healer.Repair allocation-free in steady state (the merge
-	// arm prices candidate trees through model.EvaluateDegraded, which
-	// allocates scratch per call).
+	// rebuilt survivor tree: the ablation knob.
 	DisableSiblingMerge bool
 }
 
@@ -65,7 +62,8 @@ type Healer struct {
 	merged   []int
 	treeA    model.Tree // candidate buffers for the merge price-off
 	treeB    model.Tree
-	state    []int8 // validation scratch
+	degraded model.DegradedScratch // the price-off's evaluation buffers
+	state    []int8                // validation scratch
 	chain    []int
 }
 
@@ -272,11 +270,11 @@ func (h *Healer) cheaperSurvivorTree(old model.Tree, aliveCounts []int, a, b []i
 	if err := h.applyParents(&h.treeB, b); err != nil {
 		return false, err
 	}
-	ca, err := model.EvaluateDegraded(h.p, aliveCounts, h.treeA)
+	ca, err := h.degraded.Evaluate(h.p, aliveCounts, h.treeA)
 	if err != nil {
 		return false, err
 	}
-	cb, err := model.EvaluateDegraded(h.p, aliveCounts, h.treeB)
+	cb, err := h.degraded.Evaluate(h.p, aliveCounts, h.treeB)
 	if err != nil {
 		return false, err
 	}

@@ -105,6 +105,23 @@ func (t Tree) ValidateSurvivors(p *Problem, alive []bool) error {
 // divided by the charging efficiency of its *surviving* strength. With
 // every post at planned strength this equals Evaluate.
 func EvaluateDegraded(p *Problem, aliveCounts []int, tree Tree) (float64, error) {
+	var s DegradedScratch
+	return s.Evaluate(p, aliveCounts, tree)
+}
+
+// DegradedScratch holds EvaluateDegraded's working buffers — the load
+// vector and graph.LeavesFirst's order and pending arrays — so a caller
+// that prices degraded plans repeatedly allocates nothing once they have
+// grown to the problem's size. The zero value is ready to use. Not safe
+// for concurrent use.
+type DegradedScratch struct {
+	load    []float64
+	order   []int
+	pending []int
+}
+
+// Evaluate is EvaluateDegraded on the scratch buffers.
+func (s *DegradedScratch) Evaluate(p *Problem, aliveCounts []int, tree Tree) (float64, error) {
 	n := p.N()
 	if len(aliveCounts) != n {
 		return 0, fmt.Errorf("model: %d alive counts for %d posts", len(aliveCounts), n)
@@ -114,13 +131,19 @@ func EvaluateDegraded(p *Problem, aliveCounts []int, tree Tree) (float64, error)
 	}
 	// Accumulate subtree loads leaves-first; dead posts drop what reaches
 	// them and inject nothing.
-	load := make([]float64, n)
+	if cap(s.load) < n {
+		s.load = make([]float64, n)
+		s.pending = make([]int, n)
+	}
+	load := s.load[:n]
 	for i := 0; i < n; i++ {
+		load[i] = 0
 		if aliveCounts[i] > 0 {
 			load[i] = p.Rate(i)
 		}
 	}
-	order := graph.LeavesFirst(tree.Parent, nil, nil, nil)
+	s.order = graph.LeavesFirst(tree.Parent, nil, s.order, s.pending)
+	order := s.order
 	if len(order) != n {
 		return 0, ErrCycle
 	}

@@ -25,7 +25,10 @@ var (
 //
 //   - posts whose efficiency rose (nodes added) can only shorten
 //     distances; the repair seeds a Dijkstra pass from the repriced edges
-//     and lets improvements propagate.
+//     and lets improvements propagate. When one post rose and none fell
+//     (IDB's candidates) it walks that post's committed subtree instead
+//     and queues only the vertices an off-tree edge could still improve
+//     from (treeRepair).
 //   - posts whose efficiency fell (nodes removed) can only lengthen the
 //     distances of vertices whose shortest path routed through them. That
 //     is exactly the weakened posts' subtrees in the tight-parent tree,
@@ -111,6 +114,21 @@ type IncrementalEvaluator struct {
 	ups        []int
 	downs      []int
 
+	// Subtree-walk table (see treeRepair), built lazily from the
+	// committed state by the first single-strengthening probe after Cost,
+	// Commit or CommitCached, which drop it:
+	//   minRC[v]   = min over v's in-edges from non-children u of the
+	//                reduced cost (d(v) + (inTxw[s] + rxw[v])) - d(u)
+	//   parSlot[u] = in slot of u's tree edge
+	//   rcMargin   = rcMarginScale * max(finite d(v), rxw[v]) over posts
+	treeOK   bool
+	minRC    []float64
+	parSlot  []int32
+	rcMargin float64
+	// heapOnly makes every repair take repairDist's heap path; the
+	// differential test prices each probe both ways.
+	heapOnly bool
+
 	// Probe cache (nil until EnableProbeCache; see probecache.go).
 	slots      []probeSlot
 	slotWords  int
@@ -183,6 +201,15 @@ type EvalStats struct {
 	// Fallbacks counts probes that fell back to a full re-run because
 	// the dirty region spanned too much of the graph.
 	Fallbacks int64
+	// TreeRepairs counts the Repairs priced by the subtree walk (a probe
+	// that strengthens exactly one post and weakens none) instead of the
+	// heap path.
+	TreeRepairs int64
+	// TreeFallbacks counts subtree walks handed back to the heap path
+	// because its settle would have improved a walked vertex (a rounding
+	// effect) or met a weight lost to rounding; those probes count in
+	// Repairs, not TreeRepairs.
+	TreeFallbacks int64
 	// BoundedPrunes counts probes abandoned mid-settle because a
 	// partial-settle lower bound already reached the caller's limit:
 	// CostDeltaBounded, and CostDeltaCached in the scan-min regime.
@@ -386,6 +413,7 @@ func (ev *IncrementalEvaluator) Cost(m []int) (float64, error) {
 	ev.journal = ev.journal[:0]
 	ev.effLog = ev.effLog[:0]
 	ev.full = false
+	ev.treeOK = false
 	ev.stats.FullEvals++
 	ev.invalidateAllSlots() // the cached patches' base is gone
 	return cost, nil
@@ -543,6 +571,7 @@ func (ev *IncrementalEvaluator) Commit() error {
 	}
 	ev.invalidateForCommit()
 	ev.state = stateIdle
+	ev.treeOK = false
 	ev.cost = ev.pendingCost
 	ev.journal = ev.journal[:0]
 	ev.effLog = ev.effLog[:0]
@@ -661,8 +690,6 @@ func (ev *IncrementalEvaluator) repair() {
 		if rec.newEff == rec.oldEff {
 			continue
 		}
-		ev.eff[rec.post] = rec.newEff
-		ev.reweightPost(rec.post)
 		if rec.newEff > rec.oldEff {
 			ev.ups = append(ev.ups, rec.post)
 		} else {
@@ -674,11 +701,31 @@ func (ev *IncrementalEvaluator) repair() {
 		// cap): the standing solution already prices this deployment.
 		return
 	}
-	if ev.n+1 <= tinyVerts {
+	tiny := ev.n+1 <= tinyVerts
+	walk := !tiny && !ev.heapOnly && len(ev.ups) == 1 && len(ev.downs) == 0
+	if walk && !ev.treeOK {
+		ev.buildTreeTable() // from the committed weights, before reweighting
+	}
+	var oldRxw float64
+	if walk {
+		oldRxw = ev.rxw[ev.ups[0]]
+	}
+	for _, rec := range ev.effLog {
+		if rec.newEff != rec.oldEff {
+			ev.eff[rec.post] = rec.newEff
+			ev.reweightPost(rec.post)
+		}
+	}
+	if tiny {
 		// Tiny graph: a full scan-min re-settle beats the local repair
 		// (see tinyVerts); Revert restores from the snapshot.
 		ev.fullRecompute()
-	} else if !ev.repairDist() {
+		return
+	}
+	if walk && ev.treeRepair(ev.ups[0], oldRxw) {
+		return
+	}
+	if !ev.repairDist() {
 		ev.fullRecompute()
 	}
 }
@@ -738,18 +785,8 @@ func (ev *IncrementalEvaluator) repairDist() bool {
 		if ev.dirtyEpoch >= 0 && ev.mark[i] == ev.dirtyEpoch {
 			continue // already invalidated and boundary-seeded above
 		}
-		best, bestPar, improved := ev.dist[i], -1, false
-		for os := c.outOff[i]; os < c.outOff[i+1]; os++ {
-			to := c.outTo[os]
-			if cand := ev.dist[to] + (ev.inTxw[c.outSlot[os]] + ev.rxw[to]); cand < best {
-				best, bestPar, improved = cand, int(to), true
-			}
-		}
-		if improved {
-			ev.saveDist(i)
-			ev.dist[i] = best
-			ev.setPar(i, bestPar)
-			q.Push(i, best)
+		if ev.seedUp(i) {
+			q.Push(i, ev.dist[i])
 		}
 		if di := ev.dist[i]; di != inf {
 			ri := ev.rxw[i]
@@ -786,6 +823,186 @@ func (ev *IncrementalEvaluator) repairDist() bool {
 		}
 	}
 	ev.stats.Repairs++
+	return true
+}
+
+// seedUp re-prices strengthened post i through its cheaper out-edges,
+// journaling and reparenting it when that improves its distance.
+func (ev *IncrementalEvaluator) seedUp(i int) bool {
+	c := ev.c
+	best, bestPar := ev.dist[i], -1
+	for os := c.outOff[i]; os < c.outOff[i+1]; os++ {
+		to := c.outTo[os]
+		if cand := ev.dist[to] + (ev.inTxw[c.outSlot[os]] + ev.rxw[to]); cand < best {
+			best, bestPar = cand, int(to)
+		}
+	}
+	if bestPar < 0 {
+		return false
+	}
+	ev.saveDist(i)
+	ev.dist[i] = best
+	ev.setPar(i, bestPar)
+	return true
+}
+
+// relaxWalked is repairDist's relaxation of v's in-edges at distance
+// dv for treeRepair, whose walk stamped the vertices it priced with ep.
+// A stamped vertex is final unless v improves it; relaxWalked then
+// reports false, and the probe goes to the heap path, since the walk
+// priced its subtree from a value the heap path never holds. It also
+// reports false when v would improve another vertex by a weight lost to
+// rounding (equal distances could then pop out of (distance, vertex)
+// order). A tie at a stamped vertex goes to whichever offer the heap
+// path makes first: it pops in (distance, vertex) order.
+func (ev *IncrementalEvaluator) relaxWalked(v int, dv float64, ep int64) bool {
+	c := ev.c
+	rv := ev.rxw[v]
+	for s := c.inOff[v]; s < c.inOff[v+1]; s++ {
+		u := int(c.inFrom[s])
+		cand := dv + (ev.inTxw[s] + rv)
+		if cand > ev.dist[u] {
+			continue
+		}
+		if ev.mark[u] == ep {
+			if cand < ev.dist[u] {
+				return false
+			}
+			if p := ev.par[u]; p != v && (dv < ev.dist[p] || dv == ev.dist[p] && v < p) {
+				ev.setPar(u, v)
+			}
+			continue
+		}
+		if cand < ev.dist[u] {
+			if !(cand > dv) {
+				return false
+			}
+			ev.saveDist(u)
+			ev.dist[u] = cand
+			ev.setPar(u, v)
+			ev.q.Push(u, cand)
+		}
+	}
+	return true
+}
+
+// rcMarginScale sets the subtree walk's float-error margin at
+// 2⁻⁴⁰·S, S the largest finite committed distance or reception weight:
+// about 450× the derived worst-case rounding error 18.01·2⁻⁵³·S of a
+// skipped relaxation (DESIGN.md §9).
+const rcMarginScale = 0x1p-40
+
+// buildTreeTable derives the subtree walk's table from the committed
+// state in one pass over the in-edges.
+func (ev *IncrementalEvaluator) buildTreeTable() {
+	c := ev.c
+	if ev.minRC == nil {
+		ev.minRC = make([]float64, ev.n)
+		ev.parSlot = make([]int32, ev.n)
+	}
+	var scale float64
+	for v := 0; v < ev.n; v++ {
+		dv, rv := ev.dist[v], ev.rxw[v]
+		if dv != inf && dv > scale {
+			scale = dv
+		}
+		if rv > scale {
+			scale = rv
+		}
+		best := inf
+		for s := c.inOff[v]; s < c.inOff[v+1]; s++ {
+			u := c.inFrom[s]
+			if ev.par[u] == v {
+				ev.parSlot[u] = s
+				continue
+			}
+			if rc := (dv + (ev.inTxw[s] + rv)) - ev.dist[u]; rc < best {
+				best = rc
+			}
+		}
+		ev.minRC[v] = best
+	}
+	ev.rcMargin = float64(scale * rcMarginScale)
+	ev.treeOK = true
+}
+
+// treeRepair is the repair for a probe that strengthened post i alone
+// (oldRxw is i's reception weight before the probe). Only vertices
+// routing through i can improve, and each of them along its standing
+// tree edge: the walk seeds i from its out-row as repairDist does, then
+// prices i's committed subtree top-down with the relaxation's own
+// expression, descending only into children that improved. A walked
+// vertex enters the queue only when an off-tree in-edge could still
+// beat a neighbour's committed distance (minRC below its improvement
+// plus the margin; i also counts its reception saving); every other
+// relaxation it would offer provably fails. The queue then settles as
+// in repairDist (relaxWalked). When rounding makes that improve a walked
+// vertex, or absorbs an edge weight, the walk is undone and the heap
+// path runs instead, so dist, par, the journaled set and the cost are
+// always repairDist's. It reports false, having done nothing, only when the
+// committed distance of i is infinite.
+func (ev *IncrementalEvaluator) treeRepair(i int, oldRxw float64) bool {
+	d0 := ev.dist[i]
+	if d0 == inf {
+		return false
+	}
+	ev.q.Reset()
+	ev.journal = ev.journal[:0]
+	ev.seedUp(i)
+	// ep stamps the walked vertices below i. i itself is final after its
+	// seed: every offer the heap would make it routes through it.
+	ev.epoch++
+	ep := ev.epoch
+	margin := ev.rcMargin
+	pushI := ev.minRC[i] < (d0-ev.dist[i])+(oldRxw-ev.rxw[i])+margin
+	ok := true
+	stack := append(ev.chain[:0], i)
+	for len(stack) > 0 && ok {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		dv, rv := ev.dist[v], ev.rxw[v]
+		for ch := ev.childHead[v]; ch >= 0; ch = ev.childNext[ch] {
+			u := int(ch)
+			cand := dv + (ev.inTxw[ev.parSlot[u]] + rv)
+			du := ev.dist[u]
+			if !(cand < du) {
+				continue
+			}
+			if !(cand > dv) {
+				// A weight absorbed by rounding could let the heap pop
+				// u level with v; leave that order to the heap path.
+				ok = false
+				break
+			}
+			ev.saveDist(u)
+			ev.dist[u] = cand
+			ev.mark[u] = ep
+			if ev.minRC[u] < (du-cand)+margin {
+				ev.q.Push(u, cand)
+			}
+			stack = append(stack, u)
+		}
+	}
+	ev.chain = stack[:0]
+	if ok && pushI {
+		// i's cheaper reception may reach off-tree in-neighbours:
+		// relax them now, as repairDist does before its first pop.
+		ok = ev.relaxWalked(i, ev.dist[i], ep)
+	}
+	// Settle what the walk queued, as repairDist's pop loop does.
+	for ok && ev.q.Len() > 0 {
+		v, dv := ev.q.Pop()
+		if dv <= ev.dist[v] {
+			ok = ev.relaxWalked(v, dv, ep)
+		}
+	}
+	if !ok {
+		ev.restoreJournal()
+		ev.stats.TreeFallbacks++
+		return ev.repairDist()
+	}
+	ev.stats.Repairs++
+	ev.stats.TreeRepairs++
 	return true
 }
 

@@ -327,6 +327,7 @@ func (ev *IncrementalEvaluator) CommitCached(id int) (float64, bool) {
 		return 0, false
 	}
 	ev.cost = cost
+	ev.treeOK = false
 	ev.stats.CachePromotes++
 	ev.invalidateSlots(dirty)
 	return cost, true

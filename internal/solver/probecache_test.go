@@ -315,3 +315,38 @@ func TestBoundedPricingPin(t *testing.T) {
 		}
 	}
 }
+
+// TestIDBTakesTreeRepair requires deployment IDB at 60+ posts to price
+// a majority of its repairs by the evaluator's subtree walk: every IDB
+// candidate strengthens one post, so the heap path should be the
+// exception (ties the walk hands back to it).
+func TestIDBTakesTreeRepair(t *testing.T) {
+	ctx := context.Background()
+	clustered, err := model.GenerateProblem(rand.New(rand.NewSource(5)), model.GenSpec{
+		Field: geom.Square(400), Posts: 60, Nodes: 240, Layout: model.LayoutClustered,
+	})
+	if err != nil {
+		t.Fatalf("generate clustered: %v", err)
+	}
+	for name, p := range map[string]*model.Problem{
+		"uniform-60":   randomProblem(t, 3, 400, 60, 180),
+		"uniform-100":  randomProblem(t, 4, 500, 100, 300),
+		"clustered-60": clustered,
+	} {
+		rec := &recordingInstance{Instance: p}
+		if _, err := IDB(ctx, rec, IDBOptions{Delta: 1, Workers: 1}); err != nil {
+			t.Fatalf("%s: IDB: %v", name, err)
+		}
+		var st model.EvalStats
+		for _, ev := range rec.evs {
+			s := ev.Stats()
+			st.Repairs += s.Repairs
+			st.TreeRepairs += s.TreeRepairs
+			st.TreeFallbacks += s.TreeFallbacks
+		}
+		if 2*st.TreeRepairs <= st.Repairs {
+			t.Errorf("%s: subtree walk priced %d of %d repairs, want a majority", name, st.TreeRepairs, st.Repairs)
+		}
+		t.Logf("%s: %d repairs, %d walked, %d walk fallbacks", name, st.Repairs, st.TreeRepairs, st.TreeFallbacks)
+	}
+}
