@@ -85,44 +85,3 @@ func Allocate(weights []float64, m int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// ContinuousShares returns the unrounded Lagrange solution
-// m_i = M*sqrt(w_i)/sum sqrt(w_j), useful for diagnostics and tests.
-func ContinuousShares(weights []float64, m int) ([]float64, error) {
-	n := len(weights)
-	if n == 0 {
-		return nil, errors.New("deploy: no posts to allocate to")
-	}
-	var sum float64
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("deploy: post %d has invalid weight %g", i, w)
-		}
-		sum += math.Sqrt(w)
-	}
-	out := make([]float64, n)
-	for i, w := range weights {
-		if sum > 0 {
-			out[i] = float64(m) * math.Sqrt(w) / sum
-		} else {
-			out[i] = float64(m) / float64(n)
-		}
-	}
-	return out, nil
-}
-
-// Objective returns sum_i weights_i / m_i, the quantity Allocate
-// minimises (the recharging cost up to the 1/eta factor, for linear gain).
-func Objective(weights []float64, m []int) (float64, error) {
-	if len(weights) != len(m) {
-		return 0, fmt.Errorf("deploy: %d weights vs %d counts", len(weights), len(m))
-	}
-	var total float64
-	for i, w := range weights {
-		if m[i] < 1 {
-			return 0, fmt.Errorf("deploy: post %d has %d nodes", i, m[i])
-		}
-		total += w / float64(m[i])
-	}
-	return total, nil
-}

@@ -137,7 +137,7 @@ func (m Model) LevelFor(d float64) (int, error) {
 // TxEnergyAtLevel returns e_i, the energy (nJ) to transmit one bit using
 // power level i, i.e. at the level's full range.
 func (m Model) TxEnergyAtLevel(level int) float64 {
-	return m.Alpha + m.Beta*math.Pow(m.Ranges[level], m.Gamma)
+	return m.Alpha + float64(m.Beta*math.Pow(m.Ranges[level], m.Gamma))
 }
 
 // TxEnergy returns the energy (nJ) to transmit one bit to physical

@@ -45,9 +45,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Lerp linearly interpolates between p and q; t=0 yields p, t=1 yields q.
 func Lerp(p, q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
@@ -75,12 +72,6 @@ func (f Field) Contains(p Point) bool {
 // Corner returns the lower-left corner of the field, where the paper
 // locates the base station.
 func (f Field) Corner() Point { return Point{0, 0} }
-
-// Center returns the center of the field.
-func (f Field) Center() Point { return Point{f.Width / 2, f.Height / 2} }
-
-// Area returns the field area in square meters.
-func (f Field) Area() float64 { return f.Width * f.Height }
 
 // RandomPoints draws n points uniformly at random inside the field using
 // rng. The result is deterministic for a fixed rng state.
@@ -173,19 +164,6 @@ func (f Field) Grid(n int) []Point {
 	return pts
 }
 
-// Centroid returns the centroid of pts; the zero Point when pts is empty.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	return c.Scale(1 / float64(len(pts)))
-}
-
 // BoundingBox returns the lower-left and upper-right corners of the
 // axis-aligned bounding box of pts. Both are zero Points when pts is empty.
 func BoundingBox(pts []Point) (lo, hi Point) {
@@ -200,29 +178,4 @@ func BoundingBox(pts []Point) (lo, hi Point) {
 		hi.Y = math.Max(hi.Y, p.Y)
 	}
 	return lo, hi
-}
-
-// NearestIndex returns the index in pts of the point nearest to q, and the
-// distance to it. It returns (-1, +Inf) when pts is empty. Ties resolve to
-// the lowest index, keeping tours and schedules deterministic.
-func NearestIndex(q Point, pts []Point) (int, float64) {
-	best, bestD2 := -1, math.Inf(1)
-	for i, p := range pts {
-		if d2 := Dist2(q, p); d2 < bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	if best < 0 {
-		return -1, math.Inf(1)
-	}
-	return best, math.Sqrt(bestD2)
-}
-
-// PathLength returns the total length of the polyline visiting pts in order.
-func PathLength(pts []Point) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += Dist(pts[i-1], pts[i])
-	}
-	return total
 }

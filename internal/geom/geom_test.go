@@ -86,9 +86,6 @@ func TestVectorOps(t *testing.T) {
 	if got := p.Scale(2); got != (Point{6, 8}) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Norm(); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
 }
 
 func TestFieldRandomPoints(t *testing.T) {
@@ -158,45 +155,10 @@ func TestGrid(t *testing.T) {
 }
 
 func TestCentroidAndBoundingBox(t *testing.T) {
-	if got := Centroid(nil); got != (Point{}) {
-		t.Errorf("Centroid(nil) = %v, want origin", got)
-	}
 	pts := []Point{{0, 0}, {4, 0}, {4, 2}, {0, 2}}
-	if got := Centroid(pts); got != (Point{2, 1}) {
-		t.Errorf("Centroid = %v, want (2,1)", got)
-	}
 	lo, hi := BoundingBox(pts)
 	if lo != (Point{0, 0}) || hi != (Point{4, 2}) {
 		t.Errorf("BoundingBox = %v, %v", lo, hi)
-	}
-}
-
-func TestNearestIndex(t *testing.T) {
-	if idx, d := NearestIndex(Point{}, nil); idx != -1 || !math.IsInf(d, 1) {
-		t.Errorf("empty slice: got (%d, %v)", idx, d)
-	}
-	pts := []Point{{10, 0}, {3, 4}, {3, 4}, {0, 1}}
-	idx, d := NearestIndex(Point{0, 0}, pts)
-	if idx != 3 || math.Abs(d-1) > 1e-12 {
-		t.Errorf("got (%d, %v), want (3, 1)", idx, d)
-	}
-	// Ties resolve to the lowest index.
-	idx, _ = NearestIndex(Point{3, 4}, pts[:3])
-	if idx != 1 {
-		t.Errorf("tie resolution: got %d, want 1", idx)
-	}
-}
-
-func TestPathLength(t *testing.T) {
-	if got := PathLength(nil); got != 0 {
-		t.Errorf("PathLength(nil) = %v", got)
-	}
-	if got := PathLength([]Point{{0, 0}}); got != 0 {
-		t.Errorf("single point = %v", got)
-	}
-	got := PathLength([]Point{{0, 0}, {3, 4}, {3, 0}})
-	if math.Abs(got-9) > 1e-12 {
-		t.Errorf("PathLength = %v, want 9", got)
 	}
 }
 
@@ -204,12 +166,6 @@ func TestFieldHelpers(t *testing.T) {
 	f := Field{Width: 10, Height: 20}
 	if f.Corner() != (Point{0, 0}) {
 		t.Errorf("Corner = %v", f.Corner())
-	}
-	if f.Center() != (Point{5, 10}) {
-		t.Errorf("Center = %v", f.Center())
-	}
-	if f.Area() != 200 {
-		t.Errorf("Area = %v", f.Area())
 	}
 	if f.Contains(Point{10.1, 5}) {
 		t.Error("Contains accepted a point past the width")

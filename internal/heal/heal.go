@@ -67,8 +67,9 @@ type Healer struct {
 	chain    []int
 }
 
-// NewHealer builds a Healer for p. Construction does the one-time
-// O(N^2) communication-graph build.
+// NewHealer builds a Healer for p. Construction enumerates p's
+// communication topology once (model.NewCommGraph); each Repair only
+// reweights its graph and reads the merge's hop energies from it.
 func NewHealer(p *model.Problem, opts Options) (*Healer, error) {
 	cg, err := model.NewCommGraph(p)
 	if err != nil {
@@ -106,7 +107,6 @@ func NewHealer(p *model.Problem, opts Options) (*Healer, error) {
 	}
 	h.spec = routing.MergeSpec{
 		NPosts:          n,
-		Pos:             p.Point,
 		TxEnergyBetween: cg.TxBetween,
 		Skip:            h.skip,
 	}

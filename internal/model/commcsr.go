@@ -6,16 +6,18 @@ import (
 	"wrsn/internal/geom"
 )
 
-// commCSR is the frozen struct-of-arrays communication topology shared by
-// the evaluators: the range-feasible edges u->v (u a post, v a post or
-// the BS) with their per-bit transmit energies, in compressed sparse row
-// form over both directions. Edge order inside each row matches the
-// historical nested-slice build (in-rows ascending u, out-rows ascending
-// v), which downstream tie-breaking depends on.
+// commCSR is the frozen struct-of-arrays communication topology: the
+// range-feasible edges u->v (u a post, v a post or the BS) with their
+// per-bit transmit energies, in compressed sparse row form over both
+// directions. buildCommCSR is the package's one enumeration of vertex
+// pairs; the evaluators walk it directly and CommGraph (hence
+// BuildGraph) is a view of it. Edge order inside each row is in-rows
+// ascending u, out-rows ascending v, which downstream tie-breaking and
+// CommGraph's slot correspondence depend on.
 //
-// The out direction stores no energies: outSlot maps every out slot to
-// the in slot of the same edge, so per-edge state (transmit energy,
-// maintained weights) lives once, indexed by in slot.
+// outSlot maps every out slot to the in slot of the same edge, so the
+// evaluators' maintained per-edge weights live once, indexed by in slot.
+// Transmit energies are stored in both slot orders (inTx, outTx).
 type commCSR struct {
 	n  int // posts
 	bs int // base-station vertex (== n)
@@ -32,24 +34,19 @@ type commCSR struct {
 	outTx   []float64 // same energies as inTx, indexed by out slot
 }
 
-// buildCommCSR precomputes the communication topology of p. Edge
-// enumeration order is identical to the historical buildInEdges (u
-// ascending, v ascending per u), and the stable counting sorts preserve
-// it per row.
+// buildCommCSR precomputes the communication topology of p. Pairs are
+// enumerated u ascending, v ascending per u, which is exactly the
+// out-row order, so the loop writes the out-rows directly; a stable
+// counting sort by head then fills the in-rows.
 func buildCommCSR(p *Problem) (*commCSR, error) {
 	n := p.N()
 	c := &commCSR{
-		n:     n,
-		bs:    n,
-		inOff: make([]int32, n+2),
+		n:      n,
+		bs:     n,
+		inOff:  make([]int32, n+2),
+		outOff: make([]int32, n+1),
 	}
 	dmax := p.Energy.MaxRange()
-
-	type rawEdge struct {
-		u, v int32
-		tx   float64
-	}
-	var edges []rawEdge
 	for u := 0; u < n; u++ {
 		pu := p.Posts[u]
 		for v := 0; v <= n; v++ {
@@ -62,62 +59,34 @@ func buildCommCSR(p *Problem) (*commCSR, error) {
 			}
 			tx, err := p.Energy.TxEnergy(d)
 			if err != nil {
-				return nil, fmt.Errorf("model: evaluator edge (%d,%d): %w", u, v, err)
+				return nil, fmt.Errorf("model: edge (%d,%d): %w", u, v, err)
 			}
-			edges = append(edges, rawEdge{u: int32(u), v: int32(v), tx: tx})
+			c.outTo = append(c.outTo, int32(v))
+			c.outTx = append(c.outTx, tx)
+			c.inOff[v+1]++
 		}
+		c.outOff[u+1] = int32(len(c.outTo))
 	}
-	m := len(edges)
+	m := len(c.outTo)
 	c.inFrom = make([]int32, m)
 	c.inTx = make([]float64, m)
-	c.outOff = make([]int32, n+1)
-	c.outTo = make([]int32, m)
 	c.outSlot = make([]int32, m)
-	c.outTx = make([]float64, m)
 
-	// In-rows: stable counting sort by head v. The edge list is ordered
-	// by (u, v); within one v the u values therefore appear ascending,
-	// matching the old in[v] append order.
-	for i := range edges {
-		c.inOff[edges[i].v+1]++
-	}
+	// In-rows: stable counting sort by head v. Out slots run u
+	// ascending, so within one in-row the tails appear ascending.
 	for v := 0; v <= n; v++ {
 		c.inOff[v+1] += c.inOff[v]
 	}
-	cur := make([]int32, n+1)
-	for v := 0; v <= n; v++ {
-		cur[v] = c.inOff[v]
-	}
-	inSlotOf := make([]int32, m) // original edge index -> in slot
-	for i := range edges {
-		e := &edges[i]
-		s := cur[e.v]
-		cur[e.v] = s + 1
-		c.inFrom[s] = e.u
-		c.inTx[s] = e.tx
-		inSlotOf[i] = s
-	}
-
-	// Out-rows: the old build iterated v ascending and appended to
-	// out[u], so out rows are ordered by v; the original edge list is
-	// ordered by (u, v), which gives exactly that per-u order.
-	for i := range edges {
-		c.outOff[edges[i].u+1]++
-	}
+	cur := append([]int32(nil), c.inOff[:n+1]...)
 	for u := 0; u < n; u++ {
-		c.outOff[u+1] += c.outOff[u]
-	}
-	ocur := make([]int32, n)
-	for u := 0; u < n; u++ {
-		ocur[u] = c.outOff[u]
-	}
-	for i := range edges {
-		e := &edges[i]
-		s := ocur[e.u]
-		ocur[e.u] = s + 1
-		c.outTo[s] = e.v
-		c.outSlot[s] = inSlotOf[i]
-		c.outTx[s] = e.tx
+		for s := c.outOff[u]; s < c.outOff[u+1]; s++ {
+			v := c.outTo[s]
+			t := cur[v]
+			cur[v] = t + 1
+			c.inFrom[t] = int32(u)
+			c.inTx[t] = c.outTx[s]
+			c.outSlot[s] = t
+		}
 	}
 	return c, nil
 }

@@ -1,87 +1,80 @@
 package model
 
 import (
-	"fmt"
-	"math"
+	"slices"
 
-	"wrsn/internal/geom"
 	"wrsn/internal/graph"
 )
 
 // CommGraph is the communication graph of a Problem built once and
-// reweighted in place between uses. The graph's structure (which hops are
-// feasible) depends only on geometry and the energy model's maximum
-// range, so iterative algorithms that re-price hops every round — RFH's
-// recharging-cost refinement, heal's survivor repricing — can skip the
-// O(N^2) rebuild (distance + power-level search per pair) and touch only
-// edge weights.
+// reweighted in place between uses. It is a view of the problem's one
+// topology (commCSR): the graph's structure and per-hop transmit
+// energies depend only on geometry and the energy model, so iterative
+// algorithms that re-price hops every round — RFH's recharging-cost
+// refinement, heal's survivor repricing — enumerate the feasible pairs
+// once and touch only edge weights afterwards.
 //
-// Vertices follow BuildGraph's convention: posts 0..N-1 plus the base
-// station at N, edges added in ascending destination order so downstream
-// tie-breaking matches BuildGraph exactly.
+// Vertices are posts 0..N-1 plus the base station at N. The graph is
+// built from the topology's out-rows, which run u ascending and v
+// ascending within a row — graph.Builder's forward slot order — so graph
+// forward slot s is topology out slot s (Reweight relies on it) and
+// shortest-path tie-breaking follows the pair enumeration order.
 type CommGraph struct {
-	n  int
-	g  *graph.Graph
-	tx []float64 // (n+1)*(n+1) row-major; per-bit tx energy of edge u->v, +Inf when infeasible
+	top *commCSR
+	g   *graph.Graph
 }
 
-// NewCommGraph builds the communication graph of p with the cached
-// per-hop transmit energies as initial weights (the paper's Phase-I
+// NewCommGraph builds the communication graph of p with the per-hop
+// transmit energies as initial weights (the paper's Phase-I
 // EnergyWeights pricing).
 func NewCommGraph(p *Problem) (*CommGraph, error) {
-	n := p.N()
-	c := &CommGraph{n: n, tx: make([]float64, (n+1)*(n+1))}
-	for i := range c.tx {
-		c.tx[i] = math.Inf(1)
+	top, err := buildCommCSR(p)
+	if err != nil {
+		return nil, err
 	}
-	b := graph.NewBuilder(n + 1)
-	dmax := p.Energy.MaxRange()
-	for u := 0; u < n; u++ {
-		pu := p.Posts[u]
-		for v := 0; v <= n; v++ {
-			if v == u {
-				continue
-			}
-			d := geom.Dist(pu, p.Point(v))
-			if d > dmax {
-				continue
-			}
-			tx, err := p.Energy.TxEnergy(d)
-			if err != nil {
-				return nil, fmt.Errorf("model: edge (%d,%d): %w", u, v, err)
-			}
-			c.tx[u*(n+1)+v] = tx
-			if err := b.AddEdge(u, v, tx); err != nil {
+	b := graph.NewBuilder(top.n + 1)
+	for u := 0; u < top.n; u++ {
+		for s := top.outOff[u]; s < top.outOff[u+1]; s++ {
+			if err := b.AddEdge(u, int(top.outTo[s]), top.outTx[s]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	c.g = b.Build()
-	return c, nil
+	return &CommGraph{top: top, g: b.Build()}, nil
 }
 
 // Graph returns the underlying graph. Callers may reweight it (via
 // Reweight) but must not add or remove edges.
 func (c *CommGraph) Graph() *graph.Graph { return c.g }
 
-// TxBetween returns the cached per-bit transmit energy of the hop u->v,
-// with ok=false when the hop is infeasible (out of range, self, or u is
-// the base station). It is the vertex-pair form of Energy.TxEnergy,
-// suitable for routing.MergeSpec.TxEnergyBetween.
+// TxBetween returns the per-bit transmit energy of the hop u->v, found
+// by binary search in u's out-row (sorted by v), with ok=false when the
+// hop is infeasible (out of range, self, or u is the base station). It
+// is the vertex-pair form of Energy.TxEnergy, suitable for
+// routing.MergeSpec.TxEnergyBetween.
 func (c *CommGraph) TxBetween(u, v int) (float64, bool) {
-	t := c.tx[u*(c.n+1)+v]
-	if math.IsInf(t, 1) {
+	t := c.top
+	if u < 0 || u >= t.n || v < 0 || v > t.n { // the base station has no out-row
 		return 0, false
 	}
-	return t, true
+	lo, hi := t.outOff[u], t.outOff[u+1]
+	k, ok := slices.BinarySearch(t.outTo[lo:hi], int32(v))
+	if !ok {
+		return 0, false
+	}
+	return t.outTx[int(lo)+k], true
 }
 
 // Reweight re-prices every edge in place as wf(u, v, txEnergy(u,v)),
-// leaving the graph structure untouched.
+// leaving the graph structure untouched. ReweightEdges visits forward
+// slots in order, and forward slot s is out slot s, so the energies are
+// read by slot rather than looked up.
 func (c *CommGraph) Reweight(wf WeightFunc) error {
-	stride := c.n + 1
-	tx := c.tx
+	tx := c.top.outTx
+	s := 0
 	return c.g.ReweightEdges(func(u, v int) float64 {
-		return wf(u, v, tx[u*stride+v])
+		w := wf(u, v, tx[s])
+		s++
+		return w
 	})
 }

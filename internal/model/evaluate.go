@@ -77,17 +77,3 @@ func BestTreeFor(p *Problem, deploy Deployment) (Tree, float64, error) {
 	}
 	return tree, total, nil
 }
-
-// MinCostFor returns only the cost part of BestTreeFor, skipping tree
-// materialisation: the sum over posts of their shortest-path recharging
-// cost to the BS. Callers evaluating many deployments should hold an
-// Evaluator instead — an IncrementalEvaluator when successive queries
-// are small perturbations of each other (CostDelta repairs the standing
-// solution), or a CostEvaluator for unrelated whole-vector queries.
-func MinCostFor(p *Problem, deploy Deployment) (float64, error) {
-	ev, err := NewCostEvaluator(p)
-	if err != nil {
-		return 0, err
-	}
-	return ev.MinCost(deploy)
-}

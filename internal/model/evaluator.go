@@ -97,7 +97,7 @@ func totalCost(p *Problem, n int, dist, eff, rates []float64) (float64, error) {
 		if dist[u] == inf {
 			return 0, fmt.Errorf("%w: post %d", ErrDisconnected, u)
 		}
-		total += rates[u] * dist[u]
+		total += float64(rates[u] * dist[u])
 	}
 	return total + overheadCost(p, n, eff), nil
 }

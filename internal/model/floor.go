@@ -110,7 +110,7 @@ func (ev *IncrementalEvaluator) floorBound(f *Floor, m []int) (float64, error) {
 			}
 			du = max(du, best)
 		}
-		total += rates[u] * du
+		total += float64(rates[u] * du)
 	}
 	return total + overheadCost(ev.p, n, eff), nil
 }

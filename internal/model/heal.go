@@ -159,7 +159,7 @@ func (s *DegradedScratch) Evaluate(p *Problem, aliveCounts []int, tree Tree) (fl
 			continue
 		}
 		tx := p.Energy.TxEnergyAtLevel(tree.Level[i])
-		e := load[i]*tx + (load[i]-p.Rate(i))*rx + p.Overhead(i)
+		e := float64(load[i]*tx) + float64((load[i]-p.Rate(i))*rx) + p.Overhead(i)
 		cost, err := p.Charging.RechargeCost(e, aliveCounts[i])
 		if err != nil {
 			return 0, fmt.Errorf("model: post %d: %w", i, err)

@@ -1137,12 +1137,12 @@ func (ev *IncrementalEvaluator) tinyDijkstra(limit float64) bool {
 			break
 		}
 		if bounded {
-			if settledSum+rateLeft*dv >= limit+boundedSlack {
+			if settledSum+float64(rateLeft*dv) >= limit+boundedSlack {
 				return true
 			}
 			if v < ev.n {
 				r := ev.rates[v]
-				settledSum += r * dv
+				settledSum += float64(r * dv)
 				rateLeft -= r
 			}
 		}

@@ -392,10 +392,3 @@ func TestRechargeCostWeightsReceiverTerm(t *testing.T) {
 		t.Error("wrong-size deployment accepted")
 	}
 }
-
-func TestMinNodeSeparation(t *testing.T) {
-	p := lineProblem(t, 3, 3)
-	if got := p.MinNodeSeparation(); math.Abs(got-30) > 1e-9 {
-		t.Errorf("MinNodeSeparation = %v, want 30", got)
-	}
-}

@@ -129,7 +129,11 @@ func TestPostOverheadsOverrideScalar(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("per-post overhead cost %v, want %v", got, want)
 	}
-	minCost, err := MinCostFor(p, deploy)
+	ev, err := NewCostEvaluator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minCost, err := ev.MinCost(deploy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,8 +182,8 @@ func (ev *IncrementalEvaluator) snapshotPatch(id int) (delta, mass float64) {
 		}
 		ev.mark[v] = ep
 		old, cur, r := j.dist, ev.dist[v], ev.rates[v]
-		delta += r * (old - cur)
-		mass += r * (old + cur)
+		delta += float64(r * (old - cur))
+		mass += float64(r * (old + cur))
 		if s != nil {
 			s.patch = append(s.patch, distPatch{v: j.v, par: int32(ev.par[v]), dist: cur})
 			s.mask[v>>6] |= 1 << uint(v&63)
@@ -213,7 +213,7 @@ const patchMarginScale = 0x1p-40
 // committed distances alone). A NaN or infinite input yields NaN or
 // -Inf, which never prunes.
 func (ev *IncrementalEvaluator) patchBound(delta, mass float64) float64 {
-	return (ev.cost - delta) - float64(ev.n+2)*patchMarginScale*(ev.cost+mass)
+	return (ev.cost - delta) - float64(float64(ev.n+2)*patchMarginScale*(ev.cost+mass))
 }
 
 // activeSlot returns slot id when it can answer against the idle
@@ -252,8 +252,8 @@ func (ev *IncrementalEvaluator) CachedCostBounded(id int, limit float64) (cost f
 		for k := range s.patch {
 			p := &s.patch[k]
 			old, r := ev.dist[p.v], ev.rates[p.v]
-			delta += r * (old - p.dist)
-			mass += r * (old + p.dist)
+			delta += float64(r * (old - p.dist))
+			mass += float64(r * (old + p.dist))
 		}
 		if ev.patchBound(delta, mass) >= limit+boundedSlack {
 			ev.stats.CacheHits++

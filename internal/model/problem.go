@@ -222,33 +222,19 @@ func (p *Problem) RechargeCostWeights(deploy Deployment) (WeightFunc, error) {
 
 // BuildGraph constructs the directed communication graph over the N posts
 // plus the base station: an edge u->v exists when dist(u,v) <= d_max and u
-// is a post (the BS never transmits), weighted by wf. Edges out of each
-// vertex are added in ascending destination order, so downstream
-// tie-breaking is deterministic.
+// is a post (the BS never transmits), weighted by wf. It is a
+// CommGraph reweighted once, so edges out of each vertex run in
+// ascending destination order and downstream tie-breaking is
+// deterministic.
 func (p *Problem) BuildGraph(wf WeightFunc) (*graph.Graph, error) {
-	n := p.N()
-	b := graph.NewBuilder(n + 1)
-	dmax := p.Energy.MaxRange()
-	for u := 0; u < n; u++ {
-		pu := p.Posts[u]
-		for v := 0; v <= n; v++ {
-			if v == u {
-				continue
-			}
-			d := geom.Dist(pu, p.Point(v))
-			if d > dmax {
-				continue
-			}
-			tx, err := p.Energy.TxEnergy(d)
-			if err != nil {
-				return nil, fmt.Errorf("model: edge (%d,%d): %w", u, v, err)
-			}
-			if err := b.AddEdge(u, v, wf(u, v, tx)); err != nil {
-				return nil, err
-			}
-		}
+	c, err := NewCommGraph(p)
+	if err != nil {
+		return nil, err
 	}
-	return b.Build(), nil
+	if err := c.Reweight(wf); err != nil {
+		return nil, err
+	}
+	return c.Graph(), nil
 }
 
 // DAGTolerance is the absolute tolerance used when recognising tied
@@ -330,20 +316,4 @@ func (p *Problem) UniformRates() bool {
 		}
 	}
 	return true
-}
-
-// MinNodeSeparation returns the smallest pairwise distance between posts
-// (including the BS), or +Inf for fewer than two vertices. Useful for
-// diagnosing degenerate random instances.
-func (p *Problem) MinNodeSeparation() float64 {
-	min := math.Inf(1)
-	n := p.N()
-	for u := 0; u <= n; u++ {
-		for v := u + 1; v <= n; v++ {
-			if d := geom.Dist(p.Point(u), p.Point(v)); d < min {
-				min = d
-			}
-		}
-	}
-	return min
 }

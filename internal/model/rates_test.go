@@ -89,7 +89,11 @@ func TestWeightedEvaluateHandComputed(t *testing.T) {
 		t.Errorf("weighted Evaluate = %v, want %v", got, want)
 	}
 	// Evaluator agrees.
-	minCost, err := MinCostFor(p, Deployment{2, 1})
+	ev, err := NewCostEvaluator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minCost, err := ev.MinCost(Deployment{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func gini(deploy Deployment) float64 {
 	var cum, weighted float64
 	for i, m := range sorted {
 		cum += float64(m)
-		weighted += float64(i+1) * float64(m)
+		weighted += float64(float64(i+1) * float64(m))
 	}
 	if cum == 0 {
 		return 0

@@ -145,7 +145,7 @@ func (t Tree) PostEnergies(p *Problem) []float64 {
 	es := make([]float64, len(loads))
 	for i, li := range loads {
 		tx := p.Energy.TxEnergyAtLevel(t.Level[i])
-		es[i] = li*tx + (li-p.Rate(i))*rx + p.Overhead(i)
+		es[i] = float64(li*tx) + float64((li-p.Rate(i))*rx) + p.Overhead(i)
 	}
 	return es
 }

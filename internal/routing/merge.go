@@ -3,8 +3,6 @@ package routing
 import (
 	"fmt"
 	"sort"
-
-	"wrsn/internal/geom"
 )
 
 // MergeSpec carries what Merger.Merge needs to know about the network:
@@ -14,30 +12,16 @@ import (
 type MergeSpec struct {
 	// NPosts is the number of posts; the base station is vertex NPosts.
 	NPosts int
-	// Pos returns the location of a vertex (post or base station).
-	Pos func(v int) geom.Point
-	// TxEnergy returns the per-bit transmit energy (nJ) for a hop of
-	// distance d, and ok=false when no power level covers d.
-	TxEnergy func(d float64) (float64, bool)
-	// TxEnergyBetween, when non-nil, replaces TxEnergy with a direct
-	// vertex-pair lookup (ok=false when the hop is infeasible). Callers
-	// with a cached pairwise energy table (model.CommGraph) use this to
-	// skip the distance computation and power-level search per probe.
+	// TxEnergyBetween returns the per-bit transmit energy (nJ) of the
+	// hop u->v, and ok=false when the hop is infeasible. Callers pass
+	// model.CommGraph.TxBetween, which reads the problem's communication
+	// topology instead of recomputing distances and power levels.
 	TxEnergyBetween func(u, v int) (float64, bool)
 	// Skip, when non-nil, excludes posts from the merge entirely: a
 	// skipped post is never a head, member or counted child (used for
 	// dead/stranded posts during repair, whose stale parent edges are
 	// inert and must stay untouched).
 	Skip []bool
-}
-
-// hopEnergy prices the hop u->v through TxEnergyBetween when available,
-// falling back to the distance-based TxEnergy.
-func (s *MergeSpec) hopEnergy(u, v int) (float64, bool) {
-	if s.TxEnergyBetween != nil {
-		return s.TxEnergyBetween(u, v)
-	}
-	return s.TxEnergy(geom.Dist(s.Pos(u), s.Pos(v)))
 }
 
 // MergeStats reports what Phase III changed.
@@ -160,11 +144,11 @@ func (m *Merger) Merge(spec MergeSpec, parent []int) (MergeStats, error) {
 				if c == head || assigned[c] {
 					continue
 				}
-				costToParent, ok := spec.hopEnergy(c, v)
+				costToParent, ok := spec.TxEnergyBetween(c, v)
 				if !ok {
 					return MergeStats{}, fmt.Errorf("routing: post %d cannot reach its parent %d", c, v)
 				}
-				costToHead, ok := spec.hopEnergy(c, head)
+				costToHead, ok := spec.TxEnergyBetween(c, head)
 				if !ok || costToHead >= costToParent {
 					continue
 				}

@@ -17,9 +17,8 @@ func specFor(posts []geom.Point, bs geom.Point) MergeSpec {
 	all := append(append([]geom.Point(nil), posts...), bs)
 	return MergeSpec{
 		NPosts: len(posts),
-		Pos:    func(v int) geom.Point { return all[v] },
-		TxEnergy: func(d float64) (float64, bool) {
-			switch {
+		TxEnergyBetween: func(u, v int) (float64, bool) {
+			switch d := geom.Dist(all[u], all[v]); {
 			case d <= 25:
 				return 50.5, true
 			case d <= 50:
@@ -116,9 +115,8 @@ func TestMergeSiblingsNeverCreatesCycles(t *testing.T) {
 		}
 		spec := MergeSpec{
 			NPosts: p.N(),
-			Pos:    p.Point,
-			TxEnergy: func(d float64) (float64, bool) {
-				e, err := p.Energy.TxEnergy(d)
+			TxEnergyBetween: func(u, v int) (float64, bool) {
+				e, err := p.Energy.TxEnergy(geom.Dist(p.Posts[u], p.Point(v)))
 				if err != nil {
 					return 0, false
 				}
@@ -195,11 +193,11 @@ func mergeSiblingsOracle(spec MergeSpec, parent []int) (MergeStats, error) {
 				if c == head || assigned[c] {
 					continue
 				}
-				costToParent, ok := spec.hopEnergy(c, v)
+				costToParent, ok := spec.TxEnergyBetween(c, v)
 				if !ok {
 					return MergeStats{}, fmt.Errorf("routing: post %d cannot reach its parent %d", c, v)
 				}
-				costToHead, ok := spec.hopEnergy(c, head)
+				costToHead, ok := spec.TxEnergyBetween(c, head)
 				if !ok || costToHead >= costToParent {
 					continue
 				}
@@ -335,7 +333,7 @@ func TestMergerMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := MergeSpec{NPosts: p.N(), Pos: p.Point, TxEnergyBetween: cg.TxBetween}
+		spec := MergeSpec{NPosts: p.N(), TxEnergyBetween: cg.TxBetween}
 		check(fmt.Sprintf("trimmed seed %d", seed), spec, trimmed.Parent)
 	}
 	// Invalid inputs fail the same way.
@@ -363,7 +361,7 @@ func BenchmarkMergeSiblings(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := MergeSpec{NPosts: p.N(), Pos: p.Point, TxEnergyBetween: cg.TxBetween}
+	spec := MergeSpec{NPosts: p.N(), TxEnergyBetween: cg.TxBetween}
 	work := make([]int, p.N())
 	var m Merger
 	copy(work, trimmed.Parent)

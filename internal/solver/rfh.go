@@ -54,8 +54,9 @@ const DefaultRFHIterations = 7
 // whole-solution evaluations per round (model.Evaluate on explicit trees)
 // are nowhere near the hot path the delta-aware solvers optimise. The
 // per-round graph machinery is amortised instead: the communication
-// graph is built once (model.CommGraph), re-priced in place each round,
-// and the Dijkstra/trim state is recycled across rounds
+// topology is enumerated once (model.CommGraph, which also prices the
+// Phase-III merge's hops), its graph re-priced in place each round, and
+// the Dijkstra/trim state is recycled across rounds
 // (graph.Router/routing.Trimmer). Result.Evaluations reports the total
 // Dijkstra vertex settlements.
 //
@@ -79,7 +80,7 @@ func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, er
 	}
 
 	// One-time graph machinery, reused every round: the communication
-	// graph with cached hop energies, the Dijkstra router (heap, distance
+	// graph over the problem's topology, the Dijkstra router (heap, distance
 	// vector and DAG recycled through Reset), the Phase-II trimmer and
 	// the Phase-III merger.
 	cg, err := model.NewCommGraph(p)
@@ -93,7 +94,6 @@ func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, er
 	var merger routing.Merger
 	mergeSpec := routing.MergeSpec{
 		NPosts:          p.N(),
-		Pos:             p.Point,
 		TxEnergyBetween: cg.TxBetween,
 	}
 
