@@ -47,7 +47,7 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
 // Lerp linearly interpolates between p and q; t=0 yields p, t=1 yields q.
 func Lerp(p, q Point, t float64) Point {
-	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
+	return Point{p.X + float64((q.X-p.X)*t), p.Y + float64((q.Y-p.Y)*t)}
 }
 
 // Field is a rectangular deployment area with its lower-left corner at the

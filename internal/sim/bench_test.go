@@ -106,3 +106,52 @@ func BenchmarkSimMobileCharger(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimFaultyLifetime prices 1000 rounds of the event core on a
+// network that keeps failing: sampled node failures, transient outages
+// that recover, correlated post outages and charger breakdowns, with
+// online repair and a slow charger. It covers what the two benchmarks
+// above never reach: spans cut by fault onsets and recoveries, death
+// detection with its partition check, and tree repairs with the
+// tree-derived rebuild. A scheduled post kill inside the warm-up builds
+// the healer and grows the repair buffers, so CI gates this benchmark at
+// 0 allocs/op next to the other two. A post death's partition check
+// (model.SurvivorsReachable) still allocates its BFS buffers; post
+// deaths come a few per hundred ops, under the gate's resolution.
+func BenchmarkSimFaultyLifetime(b *testing.B) {
+	p, sol := rotationNetwork(b, 21, 250, 15, 6)
+	s, err := New(Config{
+		Problem:  p,
+		Solution: sol,
+		Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25},
+		Faults: &FaultConfig{
+			NodeFailurePerRound:    2e-6,
+			TransientPerRound:      1e-4,
+			TransientMeanRounds:    50,
+			PostOutagePerRound:     3e-5,
+			ChargerFailurePerRound: 1e-4,
+			ChargerRepairRounds:    200,
+			Schedule:               FaultSchedule{{Round: 500, Kind: FaultKillPost, Post: 7}},
+		},
+		Repair:  &RepairConfig{LatencyRounds: 10},
+		Seed:    1,
+		Stepper: StepperEvent,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := s.runEvent(ctx, 2000); err != nil {
+		b.Fatal(err)
+	}
+	if s.metrics.Repairs == 0 {
+		b.Fatal("no repair during the warm-up")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.runEvent(ctx, 1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

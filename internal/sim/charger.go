@@ -95,12 +95,18 @@ func (c *chargerState) step(s *Simulator) {
 // doneWith reports whether the post no longer needs charging (all usable
 // nodes at FillToFrac, or no usable nodes).
 func (c *chargerState) doneWith(s *Simulator, post int) bool {
-	pp := &s.posts[post]
-	round := s.metrics.Rounds
-	if pp.UsableCount(round) == 0 {
-		return true
+	count, minE, _ := s.posts[post].usableEnergy(s.metrics.Rounds)
+	return count == 0 || minE/s.cfg.BatteryCapacity >= c.cfg.FillToFrac
+}
+
+// needsCharge reports whether an unclaimed post has a usable node below the
+// target fraction, and returns its usable energy total.
+func (c *chargerState) needsCharge(s *Simulator, post int) (bool, float64) {
+	if s.claimed[post] {
+		return false, 0
 	}
-	return pp.minEnergyFrac(s.cfg.BatteryCapacity, round) >= c.cfg.FillToFrac
+	count, minE, sum := s.posts[post].usableEnergy(s.metrics.Rounds)
+	return count > 0 && minE/s.cfg.BatteryCapacity < c.cfg.TargetFrac, sum
 }
 
 // pickTarget dispatches on the configured policy. Returns -1 when every
@@ -131,13 +137,8 @@ func (c *chargerState) pickTour(s *Simulator) int {
 	// Replan over every unclaimed post currently in need.
 	var needy []int
 	var stops []geom.Point
-	round := s.metrics.Rounds
 	for i := range s.posts {
-		pp := &s.posts[i]
-		if pp.UsableCount(round) == 0 || s.claimed[i] {
-			continue
-		}
-		if pp.minEnergyFrac(s.cfg.BatteryCapacity, round) < c.cfg.TargetFrac {
+		if ok, _ := c.needsCharge(s, i); ok {
 			needy = append(needy, i)
 			stops = append(stops, s.p.Posts[i])
 		}
@@ -162,14 +163,9 @@ func (c *chargerState) pickTour(s *Simulator) int {
 // first one below the target fraction.
 func (c *chargerState) pickRoundRobin(s *Simulator) int {
 	n := len(s.posts)
-	round := s.metrics.Rounds
 	for step := 0; step < n; step++ {
 		i := (c.rrCursor + step) % n
-		pp := &s.posts[i]
-		if pp.UsableCount(round) == 0 || s.claimed[i] {
-			continue
-		}
-		if pp.minEnergyFrac(s.cfg.BatteryCapacity, round) < c.cfg.TargetFrac {
+		if ok, _ := c.needsCharge(s, i); ok {
 			c.rrCursor = (i + 1) % n
 			return i
 		}
@@ -183,20 +179,10 @@ func (c *chargerState) pickRoundRobin(s *Simulator) int {
 func (c *chargerState) pickUrgent(s *Simulator) int {
 	best := -1
 	bestUrgency := math.Inf(1)
-	round := s.metrics.Rounds
 	for i := range s.posts {
-		pp := &s.posts[i]
-		if pp.UsableCount(round) == 0 || s.claimed[i] {
+		ok, remaining := c.needsCharge(s, i)
+		if !ok {
 			continue
-		}
-		if pp.minEnergyFrac(s.cfg.BatteryCapacity, round) >= c.cfg.TargetFrac {
-			continue
-		}
-		var remaining float64
-		for j := range pp.Nodes {
-			if pp.Nodes[j].usableAt(round) {
-				remaining += pp.Nodes[j].Energy
-			}
 		}
 		drain := s.drain[i]
 		if drain <= 0 {
@@ -249,7 +235,7 @@ func (c *chargerState) charge(s *Simulator, post int) {
 		if !pp.Nodes[j].usableAt(round) {
 			continue
 		}
-		gain := y * perNodeEff
+		gain := float64(y * perNodeEff)
 		room := capacity - pp.Nodes[j].Energy
 		if gain > room {
 			s.metrics.ChargerWasted += gain - room // received-energy nJ that found no room

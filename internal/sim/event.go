@@ -37,9 +37,12 @@ const (
 // fault draws and the chargers' O(posts × nodes) target scans.
 //
 // Bit-identity with the per-round stepper is by construction, not by
-// tolerance: the replayed mutations are the stepper's own float
-// operations in the stepper's own order (see step()'s round-sum network
-// energy), integer counters advance by per-round constants, and every
+// tolerance: every float accumulator — each battery, NetworkEnergy,
+// ChargerDistance — receives the stepper's own operations in the
+// stepper's own order (see step()'s round-sum network energy; different
+// accumulators may be replayed in another interleaving, because within a
+// span no mutation reads another's state), integer counters advance by
+// per-round constants, and every
 // round whose behaviour could differ — an event round — is executed by
 // the very same step() the exact core uses. Stochastic hazards are the
 // one intentional divergence: the event core converts per-round
@@ -63,12 +66,19 @@ const (
 // replay, ending the span early. An underestimated horizon only ends a
 // span sooner; the event round always runs through step().
 //
-// Tracers see every round: a reduced round leaves the simulator's
-// observable state (metrics, batteries, charger positions) exactly as
-// the stepper would, so Observe fires per round in both cores and trace
-// output is bit-identical. Observation cost itself is not skipped — a
-// tracer that scans the network every round bounds the speedup, not the
-// span.
+// Cost: the horizons that read no battery (repair, fault onset, charger
+// state) are checked first, so an event round they force costs O(fleet)
+// on top of step(). A span costs one pass over the nodes (computeSpan),
+// one over the posts, the idle-charger payment count over operational
+// posts' usable nodes, and its replay: O(rounds × fleet) travel, then
+// each operational post's payments on a local copy of its energies.
+//
+// Tracers see every round: with a tracer attached a span advances one
+// round per replay, leaving the simulator's observable state (metrics,
+// batteries, charger positions) exactly as the stepper would, so Observe
+// fires per round in both cores and trace output is bit-identical.
+// Observation cost itself is not skipped — a tracer that scans the
+// network every round bounds the speedup, not the span.
 
 // CoreStats counts how a simulator's rounds were executed. It is kept out
 // of Metrics on purpose: Metrics is the simulation's outcome, identical
@@ -96,36 +106,65 @@ type spanState struct {
 	need   []float64 // per-post cost of one operational round
 	op     []bool    // post pays and forwards this span
 	opList []int     // operational posts in topological order
-	usable [][]int   // per-post usable node indices, ascending
 	maxE   []float64 // max usable energy at span start (-1 when none usable)
+	minE   []float64 // min usable energy at span start (+Inf when none usable)
 	sumE   []float64 // total usable energy at span start
+
+	// Post i's usable node indices, ascending, are
+	// usable[usableOff[i]:usableOff[i+1]] (usableOf).
+	usableOff []int32
+	usable    []int32
+
+	// recovery is the earliest DownUntil still ahead over every node,
+	// dead or alive (0 when none): a transient recovers the round after.
+	recovery int
+
+	energy []float64 // replay scratch: one post's usable energies
 }
 
-func (sp *spanState) init(n int) {
+func (sp *spanState) init(posts []Post) {
+	n := len(posts)
 	sp.need = make([]float64, n)
 	sp.op = make([]bool, n)
 	sp.opList = make([]int, 0, n)
-	sp.usable = make([][]int, n)
 	sp.maxE = make([]float64, n)
+	sp.minE = make([]float64, n)
 	sp.sumE = make([]float64, n)
+	sp.usableOff = make([]int32, n+1)
+	m, total := 0, 0
+	for i := range posts {
+		m = max(m, len(posts[i].Nodes))
+		total += len(posts[i].Nodes)
+	}
+	sp.usable = make([]int32, total)
+	sp.energy = make([]float64, m)
+}
+
+// usableOf returns post i's usable node indices, ascending.
+func (sp *spanState) usableOf(i int) []int32 {
+	return sp.usable[sp.usableOff[i]:sp.usableOff[i+1]]
 }
 
 // runEvent is the event core's driver: compute the span ahead, fast-
 // forward its reduced rounds, then let step() execute the event round
-// exactly. Every iteration consumes at least one round.
+// exactly. Every iteration consumes at least one round. The horizons
+// that read no battery come first, so an event round that a fault, a
+// repair or a charger already forces costs no span snapshot.
 func (s *Simulator) runEvent(ctx context.Context, rounds int) error {
 	done := 0
 	for done < rounds {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s.computeSpan()
-		if l := s.spanLength(rounds - done); l > 0 {
-			k := s.fastForward(l)
-			s.core.Spans++
-			s.core.ReducedRounds += int64(k)
-			done += k
-			continue
+		if l := s.eventHorizon(rounds - done); l > 0 {
+			s.computeSpan()
+			if l = s.spanLength(l); l > 0 {
+				k := s.fastForward(l)
+				s.core.Spans++
+				s.core.ReducedRounds += int64(k)
+				done += k
+				continue
+			}
 		}
 		s.step()
 		s.core.EventRounds++
@@ -139,7 +178,9 @@ func (s *Simulator) runEvent(ctx context.Context, rounds int) error {
 // report deltas. The arithmetic mirrors step()'s lossless path exactly —
 // same iteration order, same float expressions — so the resulting
 // per-round sums are the ones the stepper itself would produce on every
-// round of the span.
+// round of the span. Its one pass over the nodes also records what the
+// horizons need: each post's usable set, max, min and total energy, and
+// the earliest transient recovery.
 func (s *Simulator) computeSpan() {
 	sp := &s.span
 	n := s.p.N()
@@ -148,34 +189,45 @@ func (s *Simulator) computeSpan() {
 	for i := range arrived {
 		arrived[i] = 0
 	}
+	sp.recovery = 0
+	top := int32(0)
 	for i := 0; i < n; i++ {
-		u := sp.usable[i][:0]
 		nodes := s.posts[i].Nodes
-		maxE, sumE := -1.0, 0.0
+		maxE, minE, sumE := -1.0, math.Inf(1), 0.0
 		for j := range nodes {
-			if nodes[j].usableAt(round) {
-				u = append(u, j)
-				e := nodes[j].Energy
-				sumE += e
-				if e > maxE {
-					maxE = e
+			nd := &nodes[j]
+			if du := nd.DownUntil; du >= round {
+				// Down through this round (usableAt's complement for a
+				// live node; a dead one keeps its stale DownUntil).
+				if sp.recovery == 0 || du < sp.recovery {
+					sp.recovery = du
 				}
+				continue
 			}
+			if !nd.Alive {
+				continue
+			}
+			sp.usable[top] = int32(j)
+			top++
+			e := nd.Energy
+			sumE += e
+			maxE, minE = max(maxE, e), min(minE, e)
 		}
-		sp.usable[i], sp.maxE[i], sp.sumE[i] = u, maxE, sumE
+		sp.usableOff[i+1] = top
+		sp.maxE[i], sp.minE[i], sp.sumE[i] = maxE, minE, sumE
 	}
 	sp.delivered, sp.lost, sp.starved, sp.ne = 0, 0, 0, 0
 	sp.opList = sp.opList[:0]
 	overheadBits := float64(s.cfg.PacketBits)
 	for _, i := range s.order {
 		carry := arrived[i] + 1
-		rxCost := float64(arrived[i]) * s.perRx[i]
-		txCost := float64(carry) * s.perTx[i]
-		need := rxCost + txCost + s.p.Overhead(i)*overheadBits
+		rxCost := float64(float64(arrived[i]) * s.perRx[i])
+		txCost := float64(float64(carry) * s.perTx[i])
+		need := rxCost + txCost + float64(s.p.Overhead(i)*overheadBits)
 		sp.need[i] = need
 		// Operational iff the stepper's usableMaxEnergy node covers the
 		// need: maxE is that node's energy (same strict-> scan).
-		op := len(sp.usable[i]) > 0 && !(sp.maxE[i] < need)
+		op := sp.usableOff[i+1] > sp.usableOff[i] && !(sp.maxE[i] < need)
 		sp.op[i] = op
 		if !op {
 			sp.starved++
@@ -192,56 +244,50 @@ func (s *Simulator) computeSpan() {
 	}
 }
 
-// spanLength returns how many reduced rounds are certified homogeneous,
-// capped at maxL. 0 means the next round must run through step() — an
-// event is due or a charger is mid-decision.
-func (s *Simulator) spanLength(maxL int) int {
+// eventHorizon returns how many rounds ahead are certified free of the
+// events that need no span snapshot to see — a due repair, the fault
+// engine's next onset, a charger that is uninitialised, done, parked or
+// arriving — capped at maxL. Idle chargers are left to spanLength, which
+// bounds them from the snapshot. 0 means the next round must run through
+// step(); since spanLength only lowers this bound, skipping the snapshot
+// then changes no span.
+func (s *Simulator) eventHorizon(maxL int) int {
 	r0 := s.metrics.Rounds
 	l := maxL
 
 	// A pending repair lands at repairApplyAfter+1.
 	if s.repairPending {
-		if h := s.repairApplyAfter - r0; h < l {
-			l = h
-		}
-		if l <= 0 {
-			return 0
-		}
+		l = min(l, s.repairApplyAfter-r0)
 	}
 
 	// Fault events: the next scheduled entry or sampled stochastic event.
 	if s.faults != nil {
 		if next := s.faults.nextEventRound(); next > 0 {
-			if h := next - r0 - 1; h < l {
-				l = h
-			}
-		}
-		if l <= 0 {
-			return 0
+			l = min(l, next-r0-1)
 		}
 	}
 
-	// Transient recoveries re-enable nodes at DownUntil+1, changing the
-	// usable sets, rotation and charger views.
-	if s.everDown {
-		seen := false
-		for i := range s.posts {
-			nodes := s.posts[i].Nodes
-			for j := range nodes {
-				if du := nodes[j].DownUntil; du > r0 {
-					seen = true
-					if h := du - r0; h < l {
-						l = h
-					}
-				}
-			}
-		}
-		if !seen {
-			s.everDown = false // every outage has expired; stop scanning
-		}
+	// Chargers: down, uninitialised, finishing, parked or travelling.
+	for _, c := range s.chargers {
 		if l <= 0 {
 			return 0
 		}
+		l = min(l, s.chargerHorizon(c, r0))
+	}
+	return max(l, 0)
+}
+
+// spanLength lowers eventHorizon's bound l by the horizons that read the
+// span snapshot, and returns how many reduced rounds are certified
+// homogeneous. 0 means the next round must run through step().
+func (s *Simulator) spanLength(l int) int {
+	r0 := s.metrics.Rounds
+	sp := &s.span
+
+	// Transient recoveries re-enable nodes at DownUntil+1, changing the
+	// usable sets, rotation and charger views.
+	if sp.recovery > 0 {
+		l = min(l, sp.recovery-r0)
 	}
 
 	// Starvation: an operational post pays exactly `need` per round out
@@ -249,28 +295,26 @@ func (s *Simulator) spanLength(maxL int) int {
 	// rotation's max node must hold at least `need` (the max is at least
 	// the mean), so floor(sum/need) - m - 2 rounds cannot starve it (the
 	// slack absorbs float drift).
-	sp := &s.span
 	for _, i := range sp.opList {
 		need := sp.need[i]
 		if need <= 0 {
 			continue
 		}
-		m := len(sp.usable[i])
+		m := len(sp.usableOf(i))
 		if q := sp.sumE[i] / need; q < float64(l+m)+3 {
-			b := int(q) - m - 2
-			if b < l {
-				l = b
-			}
+			l = min(l, int(q)-m-2)
 			if l <= 0 {
 				return 0
 			}
 		}
 	}
 
-	// Chargers: down, certified travelling or certified idle.
+	// Idle chargers: eventHorizon returned 0 for an uninitialised one, so
+	// every charger here is initialised, and one that is up with no
+	// target is idle.
 	for _, c := range s.chargers {
-		if h := s.chargerHorizon(c, r0); h < l {
-			l = h
+		if c.target < 0 && c.downUntil <= r0 {
+			l = min(l, s.idleHorizon(c))
 		}
 		if l <= 0 {
 			return 0
@@ -280,9 +324,10 @@ func (s *Simulator) spanLength(maxL int) int {
 }
 
 // chargerHorizon returns how many reduced rounds this charger's
-// behaviour is certified constant: counting down-rounds, travelling
-// without arriving, or staying idle because no unclaimed post can
-// become needy yet.
+// behaviour is certified constant without reading the span snapshot:
+// counting down-rounds or travelling without arriving. It returns 0 for
+// a charger that must run through step(), and math.MaxInt for an idle
+// one, whose bound spanLength takes from the snapshot.
 func (s *Simulator) chargerHorizon(c *chargerState, r0 int) int {
 	if c.downUntil > r0 {
 		return c.downUntil - r0
@@ -290,29 +335,27 @@ func (s *Simulator) chargerHorizon(c *chargerState, r0 int) int {
 	if c.cfg.StartAt == nil {
 		return 0 // first step initialises the position: run it exactly
 	}
-	if c.target >= 0 {
-		if c.doneWith(s, c.target) {
-			return 0 // releases and re-picks next round
-		}
-		dist := geom.Dist(c.pos, s.p.Posts[c.target])
-		if dist <= 1e-9 {
-			return 0 // parked: every charging round is an event round
-		}
-		// Travelling covers exactly SpeedPerRound per round; the target
-		// stays claimed and (monotonically) not done. Arrival is an
-		// event; the replay additionally detects it defensively.
-		b := int(dist/c.cfg.SpeedPerRound) - 2
-		if b < 0 {
-			b = 0
-		}
-		return b
+	if c.target < 0 {
+		return math.MaxInt // idle: spanLength applies idleHorizon
 	}
-	return s.idleHorizon(c)
+	if c.doneWith(s, c.target) {
+		return 0 // releases and re-picks next round
+	}
+	dist := geom.Dist(c.pos, s.p.Posts[c.target])
+	if dist <= 1e-9 {
+		return 0 // parked: every charging round is an event round
+	}
+	// Travelling covers exactly SpeedPerRound per round; the target
+	// stays claimed and (monotonically) not done. Arrival is an event;
+	// the replay additionally detects it defensively.
+	return max(int(dist/c.cfg.SpeedPerRound)-2, 0)
 }
 
 // idleHorizon bounds how long every unclaimed usable post stays at or
 // above the charger's target fraction, so an idle charger's per-round
-// pickTarget keeps returning -1.
+// pickTarget keeps returning -1. It reads the span snapshot, so
+// computeSpan must have run for the round whose pickTarget is certified
+// (the next one).
 //
 // The bound counts whole payments. Put a floor F a hair above the target
 // energy and give each usable node above it floor((e_j - F)/need)
@@ -331,15 +374,14 @@ func (s *Simulator) chargerHorizon(c *chargerState, r0 int) int {
 func (s *Simulator) idleHorizon(c *chargerState) int {
 	sp := &s.span
 	capacity := s.cfg.BatteryCapacity
-	round := s.metrics.Rounds + 1 // the round whose pickTarget is certified
-	floorE := c.cfg.TargetFrac * capacity * (1 + 1e-9)
-	best := int(^uint(0) >> 1)
+	floorE := float64(c.cfg.TargetFrac * capacity * (1 + 1e-9))
+	best := math.MaxInt
 	for i := range s.posts {
-		if len(sp.usable[i]) == 0 || s.claimed[i] {
+		if sp.usableOff[i+1] == sp.usableOff[i] || s.claimed[i] {
 			continue
 		}
 		// pickTarget's own predicate: a post needy now stays needy.
-		if s.posts[i].minEnergyFrac(capacity, round) < c.cfg.TargetFrac {
+		if sp.minE[i]/capacity < c.cfg.TargetFrac {
 			return 0
 		}
 		need := sp.need[i]
@@ -348,20 +390,14 @@ func (s *Simulator) idleHorizon(c *chargerState) int {
 		}
 		nodes := s.posts[i].Nodes
 		q := 0.0
-		for _, j := range sp.usable[i] {
+		for _, j := range sp.usableOf(i) {
 			if e := nodes[j].Energy; e > floorE {
 				q += math.Floor((e - floorE) / need * (1 - 1e-9))
 			}
 		}
 		// Compare in float: best starts at MaxInt.
 		if q < float64(best)+2 {
-			b := int(q) - 2
-			if b < 0 {
-				b = 0
-			}
-			if b < best {
-				best = b
-			}
+			best = min(best, max(int(q)-2, 0))
 			if best == 0 {
 				return 0
 			}
@@ -373,41 +409,42 @@ func (s *Simulator) idleHorizon(c *chargerState) int {
 // fastForward replays up to l reduced rounds and returns how many it
 // executed (fewer only when a charger arrived early and the span had to
 // end). Each reduced round applies exactly the state mutations step()
-// would: per-round counters, one rotation payment per operational post,
-// charger down-counting or travel, then the tracer.
+// would: per-round counters, one rotation payment per operational post
+// and charger down-counting or travel. Charger travel reads no battery,
+// so it runs first and fixes the round count; the rotation then replays
+// post by post. With a tracer attached the span advances one round at a
+// time, so Observe sees every round's state.
 func (s *Simulator) fastForward(l int) int {
-	sp := &s.span
-	bits := int64(s.cfg.PacketBits)
-	consumed := 0
-	for k := 0; k < l; k++ {
-		s.metrics.Rounds++
-		round := s.metrics.Rounds
-		s.metrics.ReportsDelivered += sp.delivered
-		s.metrics.BitsDelivered += sp.delivered * bits
-		if sp.lost > 0 {
-			s.metrics.ReportsLost += sp.lost
-			if s.metrics.FirstLossRound < 0 {
-				s.metrics.FirstLossRound = round
-			}
+	if s.tracer == nil {
+		k, _ := s.travel(l)
+		s.replay(k)
+		return k
+	}
+	for k := 1; k <= l; k++ {
+		_, arrived := s.travel(1)
+		s.replay(1)
+		s.tracer.Observe(s.metrics.Rounds, s)
+		if arrived {
+			return k
 		}
-		s.metrics.StarvedPostRounds += sp.starved
-		s.metrics.NetworkEnergy += sp.ne
-		s.lastRoundDelivered = sp.delivered
+	}
+	return l
+}
 
-		// Rotation: the stepper's usableMaxEnergy argmax (ascending scan,
-		// strict >) restricted to the span's constant usable set.
-		for _, i := range sp.opList {
-			nodes := s.posts[i].Nodes
-			best, bestE := -1, -1.0
-			for _, j := range sp.usable[i] {
-				if nodes[j].Energy > bestE {
-					best, bestE = j, nodes[j].Energy
-				}
-			}
-			nodes[best].Energy -= sp.need[i]
-		}
-
-		spanBroke := false
+// travel advances every charger through up to l reduced rounds, round by
+// round in fleet order (the stepper's order of ChargerDistance sums). It
+// returns the rounds taken and whether a travelling charger arrived on
+// the last of them: the conservative travel bound ran out before the
+// horizon did, so the charger arrives exactly as the stepper would and
+// the span ends there (the next round charges, which only step() may do).
+func (s *Simulator) travel(l int) (int, bool) {
+	if len(s.chargers) == 0 {
+		return l, false
+	}
+	r0 := s.metrics.Rounds
+	for k := 1; k <= l; k++ {
+		round := r0 + k
+		arrived := false
 		for _, c := range s.chargers {
 			if c.downUntil >= round {
 				s.metrics.ChargerDownRounds++
@@ -420,25 +457,65 @@ func (s *Simulator) fastForward(l int) int {
 			dist := geom.Dist(c.pos, dest)
 			step := c.cfg.SpeedPerRound
 			if step >= dist {
-				// The conservative travel bound ran out before the horizon
-				// did: arrive exactly as the stepper would and end the span
-				// (the next round charges, which only step() may do).
 				c.pos = dest
 				s.metrics.ChargerDistance += dist
-				spanBroke = true
+				arrived = true
 				continue
 			}
 			c.pos = geom.Lerp(c.pos, dest, step/dist)
 			s.metrics.ChargerDistance += step
 		}
-
-		if s.tracer != nil {
-			s.tracer.Observe(round, s)
-		}
-		consumed++
-		if spanBroke {
-			break
+		if arrived {
+			return k, true
 		}
 	}
-	return consumed
+	return l, false
+}
+
+// replay applies k reduced rounds' reporting counters and rotation
+// payments. Posts are independent within a span, so each operational
+// post replays its k payments on a local copy of its usable energies:
+// the stepper's usableMaxEnergy argmax (ascending scan, strict >, so the
+// lowest index wins ties) and `Energy -= need`, in the same sequence per
+// node as round-major replay, hence the same bits.
+func (s *Simulator) replay(k int) {
+	sp := &s.span
+	first := s.metrics.Rounds + 1
+	s.metrics.Rounds += k
+	kk := int64(k)
+	s.metrics.ReportsDelivered += sp.delivered * kk
+	s.metrics.BitsDelivered += sp.delivered * int64(s.cfg.PacketBits) * kk
+	if sp.lost > 0 {
+		s.metrics.ReportsLost += sp.lost * kk
+		if s.metrics.FirstLossRound < 0 {
+			s.metrics.FirstLossRound = first
+		}
+	}
+	s.metrics.StarvedPostRounds += sp.starved * kk
+	for r := 0; r < k; r++ {
+		s.metrics.NetworkEnergy += sp.ne // one add per round, as step() does
+	}
+	s.lastRoundDelivered = sp.delivered
+
+	for _, i := range sp.opList {
+		nodes := s.posts[i].Nodes
+		u := sp.usableOf(i)
+		e := sp.energy[:len(u)]
+		for x, j := range u {
+			e[x] = nodes[j].Energy
+		}
+		need := sp.need[i]
+		for r := 0; r < k; r++ {
+			best := 0
+			for x := 1; x < len(e); x++ {
+				if e[x] > e[best] {
+					best = x
+				}
+			}
+			e[best] -= need
+		}
+		for x, j := range u {
+			nodes[j].Energy = e[x]
+		}
+	}
 }

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"wrsn/internal/model"
@@ -69,6 +72,27 @@ func runCore(t *testing.T, cfg Config, kind StepperKind, rounds, every int) (*Si
 // bit-for-bit.
 func assertIdentical(t *testing.T, name string, exact, event *Simulator, me, mv *Metrics, csvE, csvV []byte, availE, availV *AvailabilityTracer) {
 	t.Helper()
+	assertSameState(t, name, exact, event, me, mv)
+	if !bytes.Equal(csvE, csvV) {
+		t.Errorf("%s: CSV traces differ (%d vs %d bytes)", name, len(csvE), len(csvV))
+		reportFirstCSVDiff(t, csvE, csvV)
+	}
+	if len(availE.Rounds) != len(availV.Rounds) {
+		t.Fatalf("%s: availability series length: exact %d event %d", name, len(availE.Rounds), len(availV.Rounds))
+	}
+	for i := range availE.Rounds {
+		if availE.Rounds[i] != availV.Rounds[i] ||
+			math.Float64bits(availE.Series[i]) != math.Float64bits(availV.Series[i]) {
+			t.Fatalf("%s: availability sample %d: exact (%d, %v) event (%d, %v)",
+				name, i, availE.Rounds[i], availE.Series[i], availV.Rounds[i], availV.Series[i])
+		}
+	}
+}
+
+// assertSameState compares the metrics, every battery's bits, the
+// routing tree and the chargers of an exact and an event run.
+func assertSameState(t *testing.T, name string, exact, event *Simulator, me, mv *Metrics) {
+	t.Helper()
 	if *me != *mv {
 		t.Errorf("%s: metrics diverge:\nexact: %+v\nevent: %+v", name, *me, *mv)
 	}
@@ -93,20 +117,6 @@ func assertIdentical(t *testing.T, name string, exact, event *Simulator, me, mv 
 				name, i, ce.pos, ce.target, ce.downUntil, cv.pos, cv.target, cv.downUntil)
 		}
 	}
-	if !bytes.Equal(csvE, csvV) {
-		t.Errorf("%s: CSV traces differ (%d vs %d bytes)", name, len(csvE), len(csvV))
-		reportFirstCSVDiff(t, csvE, csvV)
-	}
-	if len(availE.Rounds) != len(availV.Rounds) {
-		t.Fatalf("%s: availability series length: exact %d event %d", name, len(availE.Rounds), len(availV.Rounds))
-	}
-	for i := range availE.Rounds {
-		if availE.Rounds[i] != availV.Rounds[i] ||
-			math.Float64bits(availE.Series[i]) != math.Float64bits(availV.Series[i]) {
-			t.Fatalf("%s: availability sample %d: exact (%d, %v) event (%d, %v)",
-				name, i, availE.Rounds[i], availE.Series[i], availV.Rounds[i], availV.Series[i])
-		}
-	}
 }
 
 func reportFirstCSVDiff(t *testing.T, a, b []byte) {
@@ -124,11 +134,40 @@ func reportFirstCSVDiff(t *testing.T, a, b []byte) {
 	}
 }
 
-// diffRun asserts bit-identity between the cores on one scenario, with
-// the CSV tracer both at every round and at a coarser stride (stride
-// sampling must not change what the event core replays).
+// runUntraced runs one configuration under the given stepper with no
+// tracer attached, the way lifetime studies and the figures run it.
+func runUntraced(t *testing.T, cfg Config, kind StepperKind, rounds int) (*Simulator, *Metrics) {
+	t.Helper()
+	c := cloneConfig(cfg)
+	c.Stepper = kind
+	s, err := New(c)
+	if err != nil {
+		t.Fatalf("New(%q): %v", kind, err)
+	}
+	m, err := s.Run(rounds)
+	if err != nil {
+		t.Fatalf("Run(%q): %v", kind, err)
+	}
+	return s, m
+}
+
+// diffRunUntraced asserts bit-identity between the cores on one scenario
+// with no tracer attached: the event core then replays a whole span's
+// rotation post by post instead of one round per call.
+func diffRunUntraced(t *testing.T, name string, cfg Config, rounds int) {
+	t.Helper()
+	exact, me := runUntraced(t, cfg, StepperExact, rounds)
+	event, mv := runUntraced(t, cfg, StepperEvent, rounds)
+	assertSameState(t, name+"/untraced", exact, event, me, mv)
+}
+
+// diffRun asserts bit-identity between the cores on one scenario: with
+// no tracer, and with the CSV tracer both at every round and at a
+// coarser stride (stride sampling must not change what the event core
+// replays).
 func diffRun(t *testing.T, name string, cfg Config, rounds int) {
 	t.Helper()
+	diffRunUntraced(t, name, cfg, rounds)
 	for _, every := range []int{1, 7} {
 		exact, me, csvE, availE := runCore(t, cfg, StepperExact, rounds, every)
 		event, mv, csvV, availV := runCore(t, cfg, StepperEvent, rounds, every)
@@ -658,5 +697,80 @@ func TestEventCoreSpanShare(t *testing.T) {
 	}
 	if share := float64(st.EventRounds) / float64(m.Rounds); share > 0.30 {
 		t.Errorf("%.1f%% of rounds ran through step() (%+v), want <= 30%%", 100*share, st)
+	}
+}
+
+// TestEventCoreRealisationPin pins one stochastic lifetime-shaped run
+// (TestEventCoreSpanShare's configuration) to the metrics, core counters
+// and battery bits the event core produced before its replay was made
+// post-major and its horizons were folded into the span snapshot. Those
+// changes must alter no realisation: the same spans, the same RNG draws
+// and the same float operations. amd64 only: other architectures still
+// fuse multiply-adds in packages the run uses (charging, geom) and may
+// round differently.
+func TestEventCoreRealisationPin(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pinned on amd64, running on %s", runtime.GOARCH)
+	}
+	p, sol := testNetwork(t, 20, 500, 100, 600)
+	s, err := New(Config{
+		Problem:  p,
+		Solution: sol,
+		Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25},
+		Faults: &FaultConfig{
+			NodeFailurePerRound: 1e-4,
+			TransientPerRound:   1e-4,
+			TransientMeanRounds: 50,
+		},
+		Repair:  &RepairConfig{LatencyRounds: 10},
+		Seed:    1,
+		Stepper: StepperEvent,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Run(3 * DefaultBatteryRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Metrics{
+		Rounds:              6000,
+		ReportsDelivered:    576251,
+		ReportsLost:         23749,
+		BitsDelivered:       576251000,
+		NetworkEnergy:       math.Float64frombits(0x42611bd73431d200),
+		ChargerEnergy:       math.Float64frombits(0x422083b068d32000),
+		ChargerWasted:       math.Float64frombits(0x4204b1d7b9b98000),
+		ChargerDistance:     math.Float64frombits(0x40cf77f1a8622103),
+		ChargerVisits:       85,
+		NodeFailures:        291,
+		FirstLossRound:      347,
+		StarvedPostRounds:   23749,
+		TransientFaults:     246,
+		PostsDead:           12,
+		FirstPartitionRound: -1,
+		Repairs:             12,
+		RepairLatencySum:    120,
+		DegradedCost:        math.Float64frombits(0x40c6d628bcb525ae),
+		RepairCostInflation: math.Float64frombits(0x3fe6ba9fc1a5445a),
+		postCount:           100,
+		energyStored:        math.Float64frombits(0x425b3fb65abed000),
+	}
+	if *m != want {
+		t.Errorf("metrics:\n got %+v\nwant %+v", *m, want)
+	}
+	if got, want := s.CoreStats(), (CoreStats{Spans: 775, ReducedRounds: 4857, EventRounds: 1143}); got != want {
+		t.Errorf("core stats: got %+v, want %+v", got, want)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := range s.posts {
+		for _, nd := range s.posts[i].Nodes {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(nd.Energy))
+			h.Write(buf[:])
+		}
+	}
+	if got := h.Sum64(); got != 0xaf814f7cc496daa8 {
+		t.Errorf("battery bits hash %#016x, want 0xaf814f7cc496daa8", got)
 	}
 }

@@ -249,7 +249,9 @@ func (e *faultEngine) geo(s *Simulator, p float64) int {
 	if p >= 1 {
 		return 1
 	}
-	g := math.Log(1-s.rng.Float64()) / math.Log(1-p)
+	// The conversion keeps arm64 from fusing Float64's scaling into the
+	// subtraction.
+	g := math.Log(1-float64(s.rng.Float64())) / math.Log(1-p)
 	if g > 1e15 { // log(1-u) hit -Inf, or p is denormal-tiny
 		return 1 << 50
 	}
@@ -437,7 +439,6 @@ func (e *faultEngine) drawOutage(s *Simulator) int {
 // after the current one.
 func (e *faultEngine) takeDown(s *Simulator, post, node, round, rounds int) {
 	s.posts[post].Nodes[node].DownUntil = round + rounds
-	s.everDown = true // the event horizon must watch for the recovery
 	s.metrics.TransientFaults++
 }
 

@@ -225,18 +225,22 @@ func (p *Post) UsableCount(round int) int {
 	return c
 }
 
-// minEnergyFrac returns the lowest battery fraction among usable nodes
-// (1.0 when none is usable, so dead posts never attract the charger).
-func (p *Post) minEnergyFrac(capacity float64, round int) float64 {
-	min := 1.0
+// usableEnergy returns, in one pass, the number of nodes usable at the
+// given round, their lowest energy (+Inf when none is usable) and their
+// total energy summed in index order. The chargers compare minE/capacity
+// with their fractions: division by a positive constant is monotone
+// under rounding, so that is the lowest per-node fraction.
+func (p *Post) usableEnergy(round int) (count int, minE, sum float64) {
+	minE = math.Inf(1)
 	for i := range p.Nodes {
-		if p.Nodes[i].usableAt(round) {
-			if f := p.Nodes[i].Energy / capacity; f < min {
-				min = f
-			}
+		nd := &p.Nodes[i]
+		if nd.usableAt(round) {
+			count++
+			sum += nd.Energy
+			minE = min(minE, nd.Energy)
 		}
 	}
-	return min
+	return count, minE, sum
 }
 
 // Metrics accumulates simulation outcomes.
@@ -325,6 +329,7 @@ type Simulator struct {
 
 	faults   *faultEngine
 	deadPost []bool // posts whose last node died (detected)
+	dying    []int  // posts that lost a node this round (detectDeaths checks them)
 
 	planCost         float64 // analytic cost of the original plan (repair metric baseline)
 	repairPending    bool
@@ -337,11 +342,16 @@ type Simulator struct {
 	// cores allocates nothing).
 	arrived []int64 // reports awaiting forwarding at each post this round
 
+	// Reusable scratch of the repair path: the tree-derived rebuild and
+	// the degraded-cost evaluation.
+	orderBuf []int                 // rebuildDerived's next leaves-first order
+	pending  []int                 // LeavesFirst's child counts, then live subtree sizes
+	degraded model.DegradedScratch // EvaluateDegraded's buffers
+
 	// Event-driven core state (event.go).
 	eventMode bool      // run the event-horizon core instead of per-round stepping
 	span      spanState // per-span flow snapshot and per-round deltas
 	core      CoreStats // how rounds were executed (CoreStats)
-	everDown  bool      // some node has been transiently down at least once
 
 	// Online repair machinery, built lazily on the first repair and kept
 	// for the run: the healer reuses its graph, router and trim state
@@ -497,7 +507,7 @@ func New(cfg Config) (*Simulator, error) {
 			// sampled next-event times (geometric/exponential inversion).
 			s.faults.initSampled(s)
 		}
-		s.span.init(n)
+		s.span.init(s.posts)
 	}
 	return s, nil
 }
@@ -511,15 +521,23 @@ func (s *Simulator) rebuildDerived() error {
 	n := s.p.N()
 	bits := float64(s.cfg.PacketBits)
 
-	// Leaves-first topological order over the current tree.
-	order := graph.LeavesFirst(s.tree.Parent, nil, nil, nil)
+	// Leaves-first topological order over the current tree, built in the
+	// spare buffer so a cycle leaves the order in effect untouched.
+	if s.pending == nil {
+		s.pending = make([]int, n)
+		s.perTx = make([]float64, n)
+		s.perRx = make([]float64, n)
+		s.drain = make([]float64, n)
+	}
+	order := graph.LeavesFirst(s.tree.Parent, nil, s.orderBuf, s.pending)
 	if len(order) != n {
 		return model.ErrCycle
 	}
-	s.order = order
+	s.order, s.orderBuf = order, s.order
 
 	// Live subtree sizes: dead posts inject no reports and never forward.
-	liveSize := make([]int, n)
+	liveSize := s.pending // LeavesFirst is done with its counts
+	clear(liveSize)
 	for _, i := range order {
 		if !s.deadPost[i] {
 			liveSize[i]++
@@ -529,9 +547,7 @@ func (s *Simulator) rebuildDerived() error {
 		}
 	}
 
-	perTx := make([]float64, n)
-	perRx := make([]float64, n)
-	drain := make([]float64, n)
+	perTx, perRx, drain := s.perTx, s.perRx, s.drain
 	for i := 0; i < n; i++ {
 		perTx[i] = s.p.Energy.TxEnergyAtLevel(s.tree.Level[i]) * bits
 		perRx[i] = s.p.Energy.RxEnergy() * bits
@@ -542,9 +558,8 @@ func (s *Simulator) rebuildDerived() error {
 		if !s.deadPost[i] {
 			own = 1
 		}
-		drain[i] = float64(liveSize[i])*perTx[i] + float64(liveSize[i]-own)*perRx[i] + s.p.Overhead(i)*bits
+		drain[i] = float64(float64(liveSize[i])*perTx[i]) + float64(float64(liveSize[i]-own)*perRx[i]) + float64(s.p.Overhead(i)*bits)
 	}
-	s.perTx, s.perRx, s.drain = perTx, perRx, drain
 	return nil
 }
 
@@ -651,9 +666,9 @@ func (s *Simulator) step() {
 		}
 		// Receive cost for forwarded reports, transmit cost for every
 		// attempt, plus the sensing/computation overhead.
-		rxCost := float64(arrived[i]) * s.perRx[i]
-		txCost := float64(attempts) * s.perTx[i]
-		need := rxCost + txCost + s.p.Overhead(i)*float64(s.cfg.PacketBits)
+		rxCost := float64(float64(arrived[i]) * s.perRx[i])
+		txCost := float64(float64(attempts) * s.perTx[i])
+		need := rxCost + txCost + float64(s.p.Overhead(i)*float64(s.cfg.PacketBits))
 		idx := s.posts[i].usableMaxEnergy(round)
 		if idx < 0 || s.posts[i].Nodes[idx].Energy < need {
 			// Post cannot operate: all reports through it are lost.
@@ -706,17 +721,19 @@ func (s *Simulator) step() {
 	}
 }
 
-// detectDeaths scans for posts whose last node just died, updates the
-// partition metrics and schedules a repair when the policy is enabled.
+// detectDeaths checks the posts that lost a node this round for a last
+// death, updates the partition metrics and schedules a repair when the
+// policy is enabled.
 func (s *Simulator) detectDeaths(round int) {
 	newDeath := false
-	for i := range s.posts {
+	for _, i := range s.dying {
 		if !s.deadPost[i] && s.posts[i].AliveCount() == 0 {
 			s.deadPost[i] = true
 			s.metrics.PostsDead++
 			newDeath = true
 		}
 	}
+	s.dying = s.dying[:0]
 	if !newDeath {
 		return
 	}
@@ -779,7 +796,7 @@ func (s *Simulator) applyRepair(round int) {
 	s.metrics.Repairs++
 	s.metrics.RepairLatencySum += int64(round - 1 - s.repairRequested)
 	s.metrics.StrandedPosts = len(stranded)
-	if cost, err := model.EvaluateDegraded(s.p, aliveCounts, s.tree); err == nil {
+	if cost, err := s.degraded.Evaluate(s.p, aliveCounts, s.tree); err == nil {
 		s.metrics.DegradedCost = cost
 		if s.planCost > 0 {
 			s.metrics.RepairCostInflation = cost/s.planCost - 1
@@ -794,6 +811,9 @@ func (s *Simulator) killNode(post, node int) {
 	}
 	s.posts[post].Nodes[node].Alive = false
 	s.metrics.NodeFailures++
+	if k := len(s.dying); k == 0 || s.dying[k-1] != post {
+		s.dying = append(s.dying, post)
+	}
 }
 
 // transmissionAttempts draws the attempt count for one report on one

@@ -61,8 +61,8 @@ func (c *CSVTracer) Observe(round int, s *Simulator) {
 	alive := 0
 	for i := range s.posts {
 		alive += s.posts[i].AliveCount()
-		if f := s.posts[i].minEnergyFrac(s.cfg.BatteryCapacity, round); f < minFrac {
-			minFrac = f
+		if count, minE, _ := s.posts[i].usableEnergy(round); count > 0 {
+			minFrac = min(minFrac, minE/s.cfg.BatteryCapacity)
 		}
 	}
 	_, c.err = fmt.Fprintf(c.w, "%d,%d,%d,%.1f,%.1f,%.1f,%.4f,%d,%.4f,%d\n",
