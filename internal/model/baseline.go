@@ -3,8 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-
-	"wrsn/internal/geom"
 )
 
 // MinEnergyTree returns the charging-oblivious routing baseline: every
@@ -33,7 +31,15 @@ func MinEnergyTree(p *Problem) (Tree, error) {
 // MinEnergyTree it minimises total link energy rather than per-source
 // path energy — the standard "energy-aware MST" heuristic from the
 // pre-wireless-charging literature, kept as a comparison baseline.
+//
+// Hop energies come from the problem's communication topology: each
+// attachment relaxes the in-row of the vertex just added, whose tails
+// ascend, so ties keep Prim's lowest-index order.
 func MinSpanningTree(p *Problem) (Tree, error) {
+	c, err := buildCommCSR(p)
+	if err != nil {
+		return Tree{}, err
+	}
 	n := p.N()
 	const unset = -1
 	parents := make([]int, n)
@@ -45,22 +51,20 @@ func MinSpanningTree(p *Problem) (Tree, error) {
 		bestCost[i] = math.Inf(1)
 		bestTo[i] = unset
 	}
-
-	// linkCost returns the transmit energy for u -> v, +Inf out of range.
-	linkCost := func(u, v int) float64 {
-		e, err := p.Energy.TxEnergy(geom.Dist(p.Posts[u], p.Point(v)))
-		if err != nil {
-			return math.Inf(1)
+	// attach offers every post outside the tree its link to v.
+	attach := func(v int) {
+		for s := c.inOff[v]; s < c.inOff[v+1]; s++ {
+			u := int(c.inFrom[s])
+			if !inTree[u] && c.inTx[s] < bestCost[u] {
+				bestCost[u] = c.inTx[s]
+				bestTo[u] = v
+			}
 		}
-		return e
 	}
 
 	// Prim from the BS: grow the tree one cheapest attachment at a time.
-	inTree[p.BSIndex()] = true
-	for u := 0; u < n; u++ {
-		bestCost[u] = linkCost(u, p.BSIndex())
-		bestTo[u] = p.BSIndex()
-	}
+	inTree[c.bs] = true
+	attach(c.bs)
 	for added := 0; added < n; added++ {
 		pick, pickCost := unset, math.Inf(1)
 		for u := 0; u < n; u++ {
@@ -73,15 +77,7 @@ func MinSpanningTree(p *Problem) (Tree, error) {
 		}
 		inTree[pick] = true
 		parents[pick] = bestTo[pick]
-		for u := 0; u < n; u++ {
-			if inTree[u] {
-				continue
-			}
-			if c := linkCost(u, pick); c < bestCost[u] {
-				bestCost[u] = c
-				bestTo[u] = pick
-			}
-		}
+		attach(pick)
 	}
 	return NewTreeFromParents(p, parents)
 }

@@ -1,7 +1,10 @@
 package model
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wrsn/internal/charging"
@@ -79,4 +82,90 @@ func TestMinSpanningTreeDisconnected(t *testing.T) {
 	if _, err := MinSpanningTree(p); err == nil {
 		t.Error("disconnected field accepted")
 	}
+}
+
+// TestMinSpanningTreeMatchesPairLoop pins MinSpanningTree, which reads
+// hop energies from the communication topology, to the pair loop it
+// replaced: Prim's algorithm pricing every relaxation by distance and
+// power level, +Inf out of range. Fields are wide enough that many
+// pairs are out of range and some draws are disconnected, where both
+// must fail.
+func TestMinSpanningTreeMatchesPairLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var compared, disconnected int
+	for trial := 0; trial < 120; trial++ {
+		n := 2 + rng.Intn(40)
+		field := geom.Square(100 + 300*rng.Float64())
+		p := &Problem{
+			Posts:    field.RandomPoints(rng, n),
+			BS:       field.Corner(),
+			Nodes:    2 * n,
+			Energy:   energy.Default(),
+			Charging: charging.Default(),
+		}
+		want, wantErr := pairLoopMST(p)
+		got, err := MinSpanningTree(p)
+		if wantErr != nil {
+			if !errors.Is(err, ErrDisconnected) {
+				t.Fatalf("trial %d: pair loop failed (%v), topology MST returned %v", trial, wantErr, err)
+			}
+			disconnected++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(got.Parent, want) {
+			t.Fatalf("trial %d: parents %v, pair loop %v", trial, got.Parent, want)
+		}
+		compared++
+	}
+	if compared < 30 || disconnected == 0 {
+		t.Fatalf("%d connected and %d disconnected draws; want both kinds", compared, disconnected)
+	}
+}
+
+// pairLoopMST is MinSpanningTree's former pair loop, kept as its oracle.
+func pairLoopMST(p *Problem) ([]int, error) {
+	n := p.N()
+	parents := make([]int, n)
+	bestCost := make([]float64, n)
+	bestTo := make([]int, n)
+	inTree := make([]bool, n+1)
+	linkCost := func(u, v int) float64 {
+		e, err := p.Energy.TxEnergy(geom.Dist(p.Posts[u], p.Point(v)))
+		if err != nil {
+			return math.Inf(1)
+		}
+		return e
+	}
+	inTree[p.BSIndex()] = true
+	for u := 0; u < n; u++ {
+		parents[u] = -1
+		bestCost[u] = linkCost(u, p.BSIndex())
+		bestTo[u] = p.BSIndex()
+	}
+	for added := 0; added < n; added++ {
+		pick, pickCost := -1, math.Inf(1)
+		for u := 0; u < n; u++ {
+			if !inTree[u] && bestCost[u] < pickCost {
+				pick, pickCost = u, bestCost[u]
+			}
+		}
+		if pick < 0 {
+			return nil, ErrDisconnected
+		}
+		inTree[pick] = true
+		parents[pick] = bestTo[pick]
+		for u := 0; u < n; u++ {
+			if inTree[u] {
+				continue
+			}
+			if c := linkCost(u, pick); c < bestCost[u] {
+				bestCost[u] = c
+				bestTo[u] = pick
+			}
+		}
+	}
+	return parents, nil
 }

@@ -85,6 +85,10 @@ func EvaluatorFeatures() map[string]bool {
 		// Branch-and-bound rejects bound probes from the parent node's
 		// saved distances before applying any move (PruneByFloor).
 		"floor_bounds": true,
+		// Branch and bound rejects whole nodes by a Lagrangian bound on
+		// the shared budget, priced by one shortest-path tree, before
+		// applying any move (PruneByRelayBound).
+		"relay_bounds": true,
 		// IDB and local search prune candidates that cannot win from
 		// their repair patch's lower bound, skipping the O(N) cost fold
 		// (CostDeltaCached, CachedCostBounded).

@@ -140,6 +140,9 @@ type IncrementalEvaluator struct {
 	// PruneByFloor scratch (nil until first used; see floor.go).
 	lbEff []float64
 	lbRxw []float64
+
+	// PruneByRelayBound scratch (nil until first used; see relaybound.go).
+	rb *relayScratch
 }
 
 // distSave journals one vertex's pre-probe shortest-path state. Entries
@@ -225,6 +228,10 @@ type EvalStats struct {
 	// reaches the caller's limit from a saved Floor, before any move was
 	// applied. They are not probes and do not count in Probes.
 	FloorPrunes int64
+	// RelayPrunes counts PruneByRelayBound calls that proved every
+	// completion of a branch-and-bound node reaches the caller's limit,
+	// before any move was applied. Like FloorPrunes they are not probes.
+	RelayPrunes int64
 	// CacheHits counts candidates answered from the probe cache
 	// without a repair (CachedCost, CachedCostBounded), pruned or not.
 	CacheHits int64
@@ -438,8 +445,8 @@ func (ev *IncrementalEvaluator) CostDelta(moves []Move) (float64, error) {
 // CostDelta. The early exit engages in the scan-min regime (n+1 <=
 // tinyVerts, where the exact searches operate); larger instances price
 // exactly and never prune here. Branch and bound calls this only for
-// probes PruneByFloor could not reject, so the probes that reach it are
-// the hard ones.
+// probes PruneByRelayBound and PruneByFloor could not reject, so the
+// probes that reach it are the hard ones.
 func (ev *IncrementalEvaluator) CostDeltaBounded(moves []Move, limit float64) (float64, bool, error) {
 	return ev.costDeltaLimited(moves, limit)
 }

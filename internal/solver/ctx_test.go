@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -104,5 +105,72 @@ func TestDeadlineExceededPropagates(t *testing.T) {
 	_, err := IDB(ctx, p, IDBOptions{Delta: 1, Workers: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+}
+
+// TestOptimalRelayPrunedStreakHonoursLimits seeds the search with the
+// optimum itself, so most nodes below the root are rejected by the
+// relay bound before any move is applied. Those rejections pass through
+// the probe counter like every other probe: a cancelled context stops
+// the search on the ctxCheckStride cadence, inside the relay-pruned
+// streak, and an evaluation budget that the search exhausts before its
+// tail of relay-pruned nodes stops it there.
+func TestOptimalRelayPrunedStreakHonoursLimits(t *testing.T) {
+	p := randomProblem(t, 57, 200, 10, 30)
+	seed, err := Optimal(context.Background(), p, OptimalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := OptimalOptions{Incumbent: seed}
+
+	// answered counts the probes the evaluator answered: the root's full
+	// evaluation, relay and floor rejections, and bounded probes.
+	answered := func(tr optimalTrace) int64 {
+		st := tr.stats
+		return st.FullEvals + st.RelayPrunes + st.FloorPrunes + st.Probes
+	}
+	// traced returns ctx carrying tr for the search to fill.
+	traced := func(ctx context.Context, tr *optimalTrace) context.Context {
+		return context.WithValue(ctx, optimalTraceKey{}, tr)
+	}
+	var full optimalTrace
+	res, err := Optimal(traced(context.Background(), &full), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answered(full) != full.probes {
+		t.Fatalf("evaluator answered %d probes of %d", answered(full), full.probes)
+	}
+	if !slices.Equal(res.Deploy, seed.Deploy) {
+		t.Fatalf("search from the optimum returned %v, want %v", res.Deploy, seed.Deploy)
+	}
+	if 2*full.stats.RelayPrunes < full.probes {
+		t.Fatalf("relay bound rejected %d of %d probes, want most", full.stats.RelayPrunes, full.probes)
+	}
+	t.Logf("full search: %d probes, %d relay prunes, %d floor prunes, %d evaluations",
+		full.probes, full.stats.RelayPrunes, full.stats.FloorPrunes, res.Evaluations)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var cut optimalTrace
+	if _, err := Optimal(traced(ctx, &cut), p, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled search: want context.Canceled, got %v", err)
+	}
+	// The probe that saw the cancellation is the only one unanswered.
+	if cut.probes != ctxCheckStride || answered(cut) != cut.probes-1 {
+		t.Errorf("cancelled search stopped after %d probes (%d answered), want %d (%d)",
+			cut.probes, answered(cut), ctxCheckStride, ctxCheckStride-1)
+	}
+	if 2*cut.stats.RelayPrunes < cut.probes {
+		t.Errorf("cancelled search: %d of %d probes relay-pruned, want most", cut.stats.RelayPrunes, cut.probes)
+	}
+
+	opts.MaxEvaluations = res.Evaluations
+	var budget optimalTrace
+	if _, err := Optimal(traced(context.Background(), &budget), p, opts); !errors.Is(err, ErrSearchBudget) {
+		t.Fatalf("budgeted search: want ErrSearchBudget, got %v", err)
+	}
+	if budget.stats.RelayPrunes >= full.stats.RelayPrunes {
+		t.Errorf("budgeted search ran all %d relay prunes; the budget should stop the relay-pruned tail", budget.stats.RelayPrunes)
 	}
 }

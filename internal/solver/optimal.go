@@ -15,17 +15,29 @@ type OptimalOptions struct {
 	// MaxEvaluations aborts the search after this many *completed*
 	// deployment evaluations: bound probes that produced a cost, the
 	// root's included. Pruned probes never produce a cost and do not
-	// count, at any instance size: those the parent's floor bound
-	// rejects before any move is applied, and, on graphs of at most 16
-	// vertices, those the bounded evaluator abandons mid-settle. These
-	// are the semantics of the Result.Evaluations counter. 0 means
-	// unlimited. When the search aborts, ErrSearchBudget is returned.
+	// count, at any instance size: those the relay bound or the parent's
+	// floor bound rejects before any move is applied, and, on graphs of
+	// at most 16 vertices, those the bounded evaluator abandons
+	// mid-settle. These are the semantics of the Result.Evaluations
+	// counter. 0 means unlimited. When the search aborts,
+	// ErrSearchBudget is returned.
 	MaxEvaluations int64
 	// Incumbent optionally seeds the search with a known-feasible
 	// solution (e.g. from IDB); nil lets Optimal run sequential IDB(1)
 	// itself.
 	Incumbent *Result
 }
+
+// optimalTrace records how a branch-and-bound run spent its probes:
+// every search node's bound probe counts once in probes, and stats are
+// its evaluator's counters. A search whose context carries one under
+// optimalTraceKey fills it however the search ends.
+type optimalTrace struct {
+	probes int64
+	stats  model.EvalStats
+}
+
+type optimalTraceKey struct{}
 
 // ErrSearchBudget is returned when Optimal exceeds MaxEvaluations.
 var ErrSearchBudget = errors.New("solver: optimal search exceeded its evaluation budget")
@@ -51,6 +63,12 @@ const costSlack = 1e-9
 //     distances a floor under every child's, so most doomed child bounds
 //     are rejected from that floor before any move is applied
 //     (model.IncrementalEvaluator.PruneByFloor).
+//  3. The undecided posts share one budget, and routing through a post
+//     costs it energy that more nodes would make cheaper. A Lagrangian
+//     multiplier on the shared budget turns that into a bound linear in
+//     the post energies, priced by one shortest-path tree, which rejects
+//     whole nodes before their bound probe
+//     (model.IncrementalEvaluator.PruneByRelayBound).
 //
 // Posts are branched in decreasing order of routing workload under the
 // incumbent's tree, with larger node counts tried first — the shape the
@@ -66,8 +84,9 @@ const costSlack = 1e-9
 //
 // The context is checked on a ctxCheckStride cadence inside the
 // branch-and-bound's evaluation closure — the single funnel every search
-// node passes through, floor rejections included — so a cancelled search
-// unwinds and returns ctx.Err() within a handful of Dijkstra runs.
+// node passes through, relay and floor rejections included — so a
+// cancelled search unwinds and returns ctx.Err() within a handful of
+// Dijkstra runs.
 func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Result, error) {
 	p, ok := inst.(*model.Problem)
 	if !ok {
@@ -110,25 +129,28 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 	var (
 		evaluations int64
 		probes      int64
-		counts      = make([]int, n) // counts in *post* index space
+		counts      = make([]int, n) // decided counts in *post* index space, 0 if undecided
 		boundBuf    = make([]int, n)
 		// floors[d] holds the exact distances of the depth-d node being
 		// expanded, saved once when it expands; its children's bound
 		// vectors are componentwise below it.
 		floors = make([]model.Floor, n)
 	)
-	// evaluate prices the bound vector m against the prune threshold
-	// bestCost-costSlack. floor is the parent node's (nil only at the
-	// root). A pruned probe proves its cost would not beat the incumbent
-	// and produces no float: either the floor bound already rejects it,
-	// before any move is applied (model.IncrementalEvaluator.PruneByFloor),
-	// or the bounded evaluator abandons it mid-settle
+	// evaluate prices the bound vector m of the node at depth, whose
+	// undecided posts share budget nodes, at most maxEach each, against
+	// the prune threshold bestCost-costSlack. A pruned probe proves no
+	// completion of the node would beat the incumbent and produces no
+	// float. Below the root, before any move is applied, the relay bound
+	// may reject the whole node where it still has a choice to make
+	// (model.IncrementalEvaluator.PruneByRelayBound), and the parent's
+	// floor its bound vector (model.IncrementalEvaluator.PruneByFloor);
+	// otherwise the bounded evaluator may abandon it mid-settle
 	// (model.IncrementalEvaluator.CostDeltaBounded). Pruned probes are not
 	// counted in Evaluations, so MaxEvaluations budgets *completed*
 	// evaluations, matching the reported counter. Cancellation and the
 	// budget are checked on the probe cadence, pruned probes included, so
 	// long pruned streaks cannot stall either.
-	evaluate := func(m []int, floor *model.Floor) (float64, bool, error) {
+	evaluate := func(m []int, depth, budget, maxEach int) (float64, bool, error) {
 		probes++
 		if opts.MaxEvaluations > 0 && evaluations >= opts.MaxEvaluations {
 			return 0, false, ErrSearchBudget
@@ -139,8 +161,14 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 			}
 		}
 		limit := bestCost - costSlack
-		if floor != nil {
-			doomed, err := ev.ev.PruneByFloor(floor, m, limit)
+		if depth > 0 {
+			if remaining := n - depth; remaining > 1 && maxEach > 1 {
+				doomed, err := ev.ev.PruneByRelayBound(counts, maxEach, budget, limit)
+				if err != nil || doomed {
+					return 0, doomed, err
+				}
+			}
+			doomed, err := ev.ev.PruneByFloor(&floors[depth-1], m, limit)
 			if err != nil || doomed {
 				return 0, doomed, err
 			}
@@ -169,11 +197,7 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 		for _, i := range order[depth:] {
 			boundBuf[i] = maxEach
 		}
-		var floor *model.Floor
-		if depth > 0 {
-			floor = &floors[depth-1]
-		}
-		lb, pruned, err := evaluate(boundBuf, floor)
+		lb, pruned, err := evaluate(boundBuf, depth, budget, maxEach)
 		if err != nil {
 			return err
 		}
@@ -216,7 +240,11 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 		counts[post] = 0
 		return nil
 	}
-	if err := dfs(0, p.Nodes); err != nil {
+	err = dfs(0, p.Nodes)
+	if tr, ok := ctx.Value(optimalTraceKey{}).(*optimalTrace); ok {
+		tr.probes, tr.stats = probes, ev.ev.Stats()
+	}
+	if err != nil {
 		return nil, err
 	}
 

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,40 +14,59 @@ const costEps = 1e-6
 
 // TestHeuristicsNeverBeatExhaustive is the core cross-check: on random
 // tiny instances, branch-and-bound equals the exhaustive optimum, and
-// every heuristic is at or above it.
+// every heuristic is at or above it. Besides the paper's defaults it
+// covers the golden table's overhead variant (report rates and per-post
+// overheads) and saturating-gain variant, whose branch-and-bound bounds
+// take their own paths.
 func TestHeuristicsNeverBeatExhaustive(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		p := randomProblem(t, seed, 150, 6, 6+int(seed)%8)
-		naive, err := NaiveExact(p)
-		if err != nil {
-			t.Fatalf("seed %d NaiveExact: %v", seed, err)
-		}
-		opt, err := Optimal(context.Background(), p, OptimalOptions{})
-		if err != nil {
-			t.Fatalf("seed %d Optimal: %v", seed, err)
-		}
-		if math.Abs(opt.Cost-naive.Cost) > costEps {
-			t.Errorf("seed %d: B&B %.6f != exhaustive %.6f", seed, opt.Cost, naive.Cost)
-		}
-		// Bound probes count as evaluations, so on tiny search spaces
-		// B&B can probe more than the exhaustive count — just log it.
-		t.Logf("seed %d: optimum %.4f; B&B %d evaluations vs exhaustive %d",
-			seed, naive.Cost, opt.Evaluations, naive.Evaluations)
-		for name, solve := range map[string]func() (*Result, error){
-			"basicRFH": func() (*Result, error) { return RFH(context.Background(), p, RFHOptions{Iterations: 1}) },
-			"iterRFH": func() (*Result, error) {
-				return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
-			},
-			"IDB1": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}) },
-			"IDB2": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 2, Workers: 1}) },
-		} {
-			res, err := solve()
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, name, err)
+	for _, variant := range []string{"", "overhead", "saturating"} {
+		for seed := int64(1); seed <= 12; seed++ {
+			name := fmt.Sprintf("seed %d", seed)
+			var p *model.Problem
+			if variant == "" {
+				p = randomProblem(t, seed, 150, 6, 6+int(seed)%8)
+			} else {
+				name += " " + variant
+				p = optimalGoldenCase{seed: seed, posts: 6, nodes: 6 + int(seed)%8, variant: variant}.problem(t)
 			}
-			if res.Cost < naive.Cost-costEps {
-				t.Errorf("seed %d: %s cost %.6f beats the optimum %.6f", seed, name, res.Cost, naive.Cost)
-			}
+			checkAgainstExhaustive(t, name, p)
+		}
+	}
+}
+
+// checkAgainstExhaustive asserts that branch and bound finds the
+// exhaustive optimum of p and that no heuristic beats it.
+func checkAgainstExhaustive(t *testing.T, name string, p *model.Problem) {
+	t.Helper()
+	naive, err := NaiveExact(p)
+	if err != nil {
+		t.Fatalf("%s NaiveExact: %v", name, err)
+	}
+	opt, err := Optimal(context.Background(), p, OptimalOptions{})
+	if err != nil {
+		t.Fatalf("%s Optimal: %v", name, err)
+	}
+	if math.Abs(opt.Cost-naive.Cost) > costEps {
+		t.Errorf("%s: B&B %.6f != exhaustive %.6f", name, opt.Cost, naive.Cost)
+	}
+	// Bound probes count as evaluations, so on tiny search spaces
+	// B&B can probe more than the exhaustive count — just log it.
+	t.Logf("%s: optimum %.4f; B&B %d evaluations vs exhaustive %d",
+		name, naive.Cost, opt.Evaluations, naive.Evaluations)
+	for heuristic, solve := range map[string]func() (*Result, error){
+		"basicRFH": func() (*Result, error) { return RFH(context.Background(), p, RFHOptions{Iterations: 1}) },
+		"iterRFH": func() (*Result, error) {
+			return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
+		},
+		"IDB1": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}) },
+		"IDB2": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 2, Workers: 1}) },
+	} {
+		res, err := solve()
+		if err != nil {
+			t.Fatalf("%s %s: %v", name, heuristic, err)
+		}
+		if res.Cost < naive.Cost-costEps {
+			t.Errorf("%s: %s cost %.6f beats the optimum %.6f", name, heuristic, res.Cost, naive.Cost)
 		}
 	}
 }

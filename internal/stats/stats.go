@@ -42,7 +42,9 @@ func Summarize(xs []float64) (Summary, error) {
 		var ss float64
 		for _, x := range xs {
 			d := x - s.Mean
-			ss += d * d
+			// The conversion rounds the product, so no architecture fuses
+			// it into the sum and the spread is bit-identical everywhere.
+			ss += float64(d * d)
 		}
 		s.StdDev = math.Sqrt(ss / float64(len(xs)-1))
 	}
@@ -132,5 +134,5 @@ func RelDiff(a, b float64) float64 {
 func ApproxEqual(a, b, absTol, relTol float64) bool {
 	diff := math.Abs(a - b)
 	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= absTol+relTol*scale
+	return diff <= absTol+float64(relTol*scale)
 }
