@@ -209,7 +209,7 @@ func BenchmarkSolveIDB(b *testing.B) {
 	p := benchProblem(b, 1, 500, 100, 600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.IDB(context.Background(), p, solver.IDBOptions{Delta: 1, Workers: 1}); err != nil {
+		if _, err := solver.IDB(context.Background(), p, solver.IDBOptions{Delta: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,7 +324,7 @@ func BenchmarkAblationIDBDelta(b *testing.B) {
 		b.Run("delta-"+string(rune('0'+delta)), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := solver.IDB(context.Background(), p, solver.IDBOptions{Delta: delta, Workers: 1})
+				res, err := solver.IDB(context.Background(), p, solver.IDBOptions{Delta: delta})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -402,18 +402,6 @@ func BenchmarkSolveAnneal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := solver.Anneal(context.Background(), p, solver.AnnealOptions{Start: seedResult, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolveIDBParallel measures the concurrent IDB at Fig. 8 scale;
-// compare against BenchmarkSolveIDB for the speedup.
-func BenchmarkSolveIDBParallel(b *testing.B) {
-	p := benchProblem(b, 1, 500, 100, 600)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solver.IDB(context.Background(), p, solver.IDBOptions{Delta: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -176,7 +176,7 @@ func TestCompareSubcommand(t *testing.T) {
 	s := out.String()
 	for _, frag := range []string{
 		"solver comparison: 8 posts, 24 nodes",
-		"rfh ", "rfh-iterative", "idb ", "idb-parallel", "idb-local-search",
+		"rfh ", "rfh-iterative", "idb ", "idb-local-search",
 		"local-search", "anneal", "auto", "optimal",
 		"vs best (%)",
 		"best solution:",

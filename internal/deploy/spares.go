@@ -28,7 +28,7 @@ func BinomialCDF(k, n int, p float64) float64 {
 	total := 0.0
 	logP, logQ := math.Log(p), math.Log1p(-p)
 	for i := 0; i <= k; i++ {
-		logTerm := logChoose(n, i) + float64(i)*logP + float64(n-i)*logQ
+		logTerm := logChoose(n, i) + float64(float64(i)*logP) + float64(float64(n-i)*logQ)
 		total += math.Exp(logTerm)
 	}
 	if total > 1 {

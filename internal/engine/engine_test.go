@@ -304,7 +304,7 @@ func TestRunValidation(t *testing.T) {
 
 // TestRegistry covers lookup, sorted listing and duplicate rejection.
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"rfh", "rfh-iterative", "idb", "idb-parallel", "local-search", "idb-local-search", "anneal", "auto", "optimal"} {
+	for _, name := range []string{"rfh", "rfh-iterative", "idb", "local-search", "idb-local-search", "anneal", "auto", "optimal"} {
 		if _, ok := Solver(name); !ok {
 			t.Errorf("solver %q not registered (have %v)", name, Solvers())
 		}

@@ -109,10 +109,10 @@ func Infos() []SolverInfo {
 }
 
 // IDBSolver returns a SolveFunc running IDB with the given per-round
-// increment δ (sequential evaluation, the paper's reference variant).
+// increment δ (the paper's comparisons use δ = 1).
 func IDBSolver(delta int) SolveFunc {
 	return func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.IDB(ctx, inst, solver.IDBOptions{Delta: delta, Workers: 1})
+		return solver.IDB(ctx, inst, solver.IDBOptions{Delta: delta})
 	}
 }
 
@@ -138,9 +138,6 @@ func init() {
 		return solver.RFH(ctx, inst, solver.RFHOptions{Iterations: solver.DefaultRFHIterations})
 	})
 	Register("idb", allKinds, IDBSolver(1))
-	Register("idb-parallel", allKinds, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
-		return solver.IDB(ctx, inst, solver.IDBOptions{Delta: 1})
-	})
 	Register("local-search", allKinds, func(ctx context.Context, inst model.Instance) (*solver.Result, error) {
 		return solver.LocalSearch(ctx, inst, solver.LocalSearchOptions{})
 	})

@@ -64,7 +64,7 @@ func (p RetryPolicy) Backoff(retry int, seed int64) time.Duration {
 	// Jitter in [0.5, 1.0), derived from (seed, retry) so reruns are
 	// reproducible and concurrent cells don't retry in lockstep.
 	h := splitmix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(retry))
-	frac := 0.5 + float64(h>>11)/float64(1<<54)
+	frac := 0.5 + float64(float64(h>>11)/float64(1<<54))
 	return time.Duration(float64(d) * frac)
 }
 

@@ -58,7 +58,7 @@ func ExtDelta(opts Options) (*Figure, error) {
 		Run: func(ctx context.Context, inst *engine.Instance) (engine.CellResult, error) {
 			delta := deltas[inst.Point]
 			start := time.Now()
-			res, err := solver.IDB(ctx, inst.Problem(), solver.IDBOptions{Delta: delta, Workers: 1})
+			res, err := solver.IDB(ctx, inst.Problem(), solver.IDBOptions{Delta: delta})
 			if err != nil {
 				return engine.CellResult{}, err
 			}

@@ -79,7 +79,7 @@ func ExtRepair(opts Options) (*Figure, error) {
 		},
 		Run: func(ctx context.Context, inst *engine.Instance) (engine.CellResult, error) {
 			rate := failureRates[inst.Point]
-			opt, err := solver.IDB(ctx, inst.Problem(), solver.IDBOptions{Delta: 1, Workers: 1})
+			opt, err := solver.IDB(ctx, inst.Problem(), solver.IDBOptions{Delta: 1})
 			if err != nil {
 				return engine.CellResult{}, err
 			}

@@ -28,7 +28,7 @@ func Dist(p, q Point) float64 {
 // the square root for pure comparisons.
 func Dist2(p, q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // String implements fmt.Stringer.
@@ -99,7 +99,7 @@ func (f Field) RandomPointsMinSep(rng *rand.Rand, n int, minSep float64) []Point
 	for len(pts) < n {
 		placed := false
 		for attempt := 0; attempt < minSeparationAttempts; attempt++ {
-			cand := Point{X: rng.Float64() * f.Width, Y: rng.Float64() * f.Height}
+			cand := Point{X: float64(rng.Float64() * f.Width), Y: float64(rng.Float64() * f.Height)}
 			ok := true
 			for _, p := range pts {
 				if Dist2(cand, p) < minSep2 {
@@ -134,8 +134,8 @@ func (f Field) ClusteredPoints(rng *rand.Rand, n, clusters int, sigma float64) [
 	for i := range pts {
 		c := centers[rng.Intn(clusters)]
 		p := Point{
-			X: c.X + rng.NormFloat64()*sigma,
-			Y: c.Y + rng.NormFloat64()*sigma,
+			X: c.X + float64(rng.NormFloat64()*sigma),
+			Y: c.Y + float64(rng.NormFloat64()*sigma),
 		}
 		p.X = math.Min(math.Max(p.X, 0), f.Width)
 		p.Y = math.Min(math.Max(p.Y, 0), f.Height)

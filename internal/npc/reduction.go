@@ -224,7 +224,7 @@ func (in *Instance) EvaluateSolution(deploy []int, parents []int) (float64, erro
 		if err != nil {
 			return 0, err
 		}
-		energy := float64(w[i])*tx + float64(w[i]-1)*in.Params.E0
+		energy := float64(float64(w[i])*tx) + float64(float64(w[i]-1)*in.Params.E0)
 		cost += energy / (float64(deploy[i]) * in.Params.Eta)
 	}
 	return cost, nil

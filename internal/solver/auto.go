@@ -27,8 +27,7 @@ const (
 //
 //   - small instances (exhaustive space <= ~50k deployments) get the
 //     exact branch-and-bound optimum;
-//   - mid-size instances get IDB(δ=1), the paper's best heuristic, with
-//     parallel candidate evaluation;
+//   - mid-size instances get IDB(δ=1), the paper's best heuristic;
 //   - large instances get iterative RFH, polished by local search when a
 //     hill-climbing sweep is still affordable.
 //
@@ -40,7 +39,7 @@ const (
 func Auto(ctx context.Context, inst model.Instance) (*Result, error) {
 	p, ok := inst.(*model.Problem)
 	if !ok {
-		seed, err := IDB(ctx, inst, IDBOptions{Delta: 1, Workers: 1})
+		seed, err := IDB(ctx, inst, IDBOptions{Delta: 1})
 		if err != nil {
 			return nil, err
 		}

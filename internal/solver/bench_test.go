@@ -15,7 +15,7 @@ func BenchmarkIDB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}); err != nil {
+		if _, err := IDB(context.Background(), p, IDBOptions{Delta: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,16 +67,7 @@ func TestOptimalCtxCancelsMidSearch(t *testing.T) {
 func TestIDBCtxCancelsMidRun(t *testing.T) {
 	p := randomProblem(t, 502, 400, 120, 3000)
 	cancelMidRun(t, "IDB", 10*time.Second, func(ctx context.Context) error {
-		_, err := IDB(ctx, p, IDBOptions{Delta: 1, Workers: 1})
-		return err
-	})
-}
-
-// TestIDBParallelCtxCancelsMidRun aborts the parallel candidate pool.
-func TestIDBParallelCtxCancelsMidRun(t *testing.T) {
-	p := randomProblem(t, 503, 400, 120, 3000)
-	cancelMidRun(t, "parallel IDB", 10*time.Second, func(ctx context.Context) error {
-		_, err := IDB(ctx, p, IDBOptions{Delta: 1, Workers: 4})
+		_, err := IDB(ctx, p, IDBOptions{Delta: 1})
 		return err
 	})
 }
@@ -102,7 +93,7 @@ func TestDeadlineExceededPropagates(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	<-ctx.Done()
-	_, err := IDB(ctx, p, IDBOptions{Delta: 1, Workers: 1})
+	_, err := IDB(ctx, p, IDBOptions{Delta: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}

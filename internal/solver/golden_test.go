@@ -38,7 +38,7 @@ func TestGoldenCosts(t *testing.T) {
 		{
 			name: "IDB small", seed: 1, side: 200, posts: 8, nodes: 20,
 			solve: goldenSolve(func(p *problemT) (*Result, error) {
-				return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+				return IDB(context.Background(), p, IDBOptions{Delta: 1})
 			}),
 			want: 675.6848958333334,
 		},
@@ -57,7 +57,7 @@ func TestGoldenCosts(t *testing.T) {
 		{
 			name: "IDB mid", seed: 5, side: 300, posts: 20, nodes: 60,
 			solve: goldenSolve(func(p *problemT) (*Result, error) {
-				return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+				return IDB(context.Background(), p, IDBOptions{Delta: 1})
 			}),
 			want: 2326.3769531250000,
 		},

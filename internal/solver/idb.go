@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"wrsn/internal/deploy"
 	"wrsn/internal/model"
@@ -20,13 +19,6 @@ const ctxCheckStride = 64
 type IDBOptions struct {
 	// Delta is the per-round node increment (>= 1; the paper uses 1).
 	Delta int
-	// Workers is the number of goroutines evaluating δ=1 candidate
-	// placements concurrently; 0 means GOMAXPROCS, 1 runs sequentially.
-	// Each worker carries its own evaluator (the protocol is not
-	// concurrency-safe), so memory scales with workers while results
-	// and evaluation counts remain bit-identical to the sequential run.
-	// Delta > 1 and free-total instances always run sequentially.
-	Workers int
 }
 
 // IDB runs the Incremental Deployment-Based heuristic (Section V-B).
@@ -45,17 +37,9 @@ type IDBOptions struct {
 // one the search greedily adds the single best unit per round while that
 // strictly improves the cost.
 //
-// With more than one worker, each δ=1 fixed-total round's candidates
-// are evaluated by a parallel pool: IDB's inner loop — one Dijkstra per
-// candidate placement per round — is embarrassingly parallel, and at the
-// paper's large scales (Figs. 8-10) it dominates total runtime. Delta >
-// 1 and free-total instances always run sequentially: no workload runs
-// δ>1 with more than one worker, and free-total rounds probe only one
-// unit-add per dimension, too little work to farm out.
-//
 // The context is checked at every round boundary and every
-// ctxCheckStride candidate evaluations (by every worker), so a
-// cancelled run returns ctx.Err() within a handful of Dijkstra runs.
+// ctxCheckStride candidate evaluations, so a cancelled run returns
+// ctx.Err() within a handful of Dijkstra runs.
 func IDB(ctx context.Context, inst model.Instance, opts IDBOptions) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -63,30 +47,15 @@ func IDB(ctx context.Context, inst model.Instance, opts IDBOptions) (*Result, er
 	if opts.Delta < 1 {
 		return nil, fmt.Errorf("solver: IDB delta must be >= 1, got %d", opts.Delta)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if _, fixed := inst.FixedTotal(); !fixed || opts.Delta > 1 {
-		workers = 1
-	}
-	evaluators, err := newEvaluators(inst, workers)
+	ev, err := inst.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
-	var (
-		cur         []int
-		evaluations int64
-	)
-	if workers == 1 {
-		cur, evaluations, err = idbSearch(ctx, inst, evaluators[0], opts.Delta)
-	} else {
-		cur, evaluations, err = idbParallelSearch(ctx, inst, evaluators)
-	}
+	cur, evaluations, err := idbSearch(ctx, inst, ev, opts.Delta)
 	if err != nil {
 		return nil, err
 	}
-	return finish(inst, evaluators[0], cur, evaluations)
+	return finish(inst, ev, cur, evaluations)
 }
 
 // upperBounds materialises inst's per-dimension upper bounds so the hot
@@ -318,8 +287,11 @@ func bestUnitAdd(ctx context.Context, ev model.Evaluator, cur, ub []int, evaluat
 			}
 			mv[0] = model.Move{Post: i, Delta: 1}
 			var err error
-			cost, pruned, err = priceCandidate(ev, i, mv, limit)
+			cost, pruned, err = ev.CostDeltaCached(i, mv, limit)
 			*evaluations++
+			if err == nil && !pruned {
+				err = ev.Revert() // leave ev idle; the repair stays in slot i
+			}
 			if err != nil {
 				return 0, 0, err
 			}
@@ -329,18 +301,6 @@ func bestUnitAdd(ctx context.Context, ev model.Evaluator, cur, ub []int, evaluat
 		}
 	}
 	return bestI, bestCost, nil
-}
-
-// priceCandidate prices the committed solution with mv applied through
-// CostDeltaCached, snapshotting its repair under slot id, and reverts an
-// unpruned probe: it leaves ev idle. pruned=true means the exact cost
-// is >= limit.
-func priceCandidate(ev model.Evaluator, id int, mv []model.Move, limit float64) (float64, bool, error) {
-	cost, pruned, err := ev.CostDeltaCached(id, mv, limit)
-	if err != nil || pruned {
-		return 0, pruned, err
-	}
-	return cost, false, ev.Revert()
 }
 
 // less orders δ>1 candidates by (cost, lexicographic placement). Cost

@@ -28,7 +28,7 @@ func TestCostScalesInverseEtaEndToEnd(t *testing.T) {
 			return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 		},
 		"IDB1": func(p *model.Problem) (*Result, error) {
-			return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+			return IDB(context.Background(), p, IDBOptions{Delta: 1})
 		},
 	} {
 		a, err := solve(base)
@@ -99,11 +99,11 @@ func TestMirrorInvariance(t *testing.T) {
 	}
 	mirrored.BS = geom.Point{X: base.BS.Y, Y: base.BS.X}
 
-	a, err := IDB(context.Background(), base, IDBOptions{Delta: 1, Workers: 1})
+	a, err := IDB(context.Background(), base, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := IDB(context.Background(), &mirrored, IDBOptions{Delta: 1, Workers: 1})
+	b, err := IDB(context.Background(), &mirrored, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSolversWithHeterogeneousRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

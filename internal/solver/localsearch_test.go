@@ -111,48 +111,3 @@ func TestLocalSearchRejectsBadSeed(t *testing.T) {
 		t.Error("invalid seed accepted")
 	}
 }
-
-func TestIDBParallelMatchesSequential(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		p := randomProblem(t, seed+90, 250, 20, 70)
-		for _, delta := range []int{1, 3} {
-			seq, err := IDB(context.Background(), p, IDBOptions{Delta: delta, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := IDB(context.Background(), p, IDBOptions{Delta: delta, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(seq.Cost-par.Cost) > costEps {
-				t.Errorf("seed %d delta %d: parallel cost %.6f != sequential %.6f",
-					seed, delta, par.Cost, seq.Cost)
-			}
-			for i := range seq.Deploy {
-				if seq.Deploy[i] != par.Deploy[i] {
-					t.Errorf("seed %d delta %d: deployments differ at post %d (%d vs %d)",
-						seed, delta, i, seq.Deploy[i], par.Deploy[i])
-					break
-				}
-			}
-			if seq.Evaluations != par.Evaluations {
-				t.Errorf("seed %d delta %d: evaluation counts differ: %d vs %d",
-					seed, delta, seq.Evaluations, par.Evaluations)
-			}
-		}
-	}
-}
-
-func TestIDBParallelValidation(t *testing.T) {
-	p := randomProblem(t, 95, 200, 8, 16)
-	if _, err := IDB(context.Background(), p, IDBOptions{Delta: 0}); err == nil {
-		t.Error("delta 0 accepted")
-	}
-	res, err := IDB(context.Background(), p, IDBOptions{Delta: 1}) // Workers 0 = GOMAXPROCS
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Deploy.Sum() != p.Nodes {
-		t.Errorf("deployed %d of %d nodes", res.Deploy.Sum(), p.Nodes)
-	}
-}

@@ -105,7 +105,7 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 
 	incumbent := opts.Incumbent
 	if incumbent == nil {
-		incumbent, err = IDB(ctx, p, IDBOptions{Delta: 1, Workers: 1})
+		incumbent, err = IDB(ctx, p, IDBOptions{Delta: 1})
 		if err != nil {
 			return nil, fmt.Errorf("solver: optimal could not seed incumbent: %w", err)
 		}

@@ -68,11 +68,11 @@ func TestIDBDirtyPruningDifferential(t *testing.T) {
 	ctx := context.Background()
 	var cachedTotal, plainTotal int64
 	run := func(name string, inst model.Instance) {
-		cached, err := IDB(ctx, plainlessWrap(inst), IDBOptions{Delta: 1, Workers: 1})
+		cached, err := IDB(ctx, plainlessWrap(inst), IDBOptions{Delta: 1})
 		if err != nil {
 			t.Fatalf("%s: cached IDB: %v", name, err)
 		}
-		plain, err := IDB(ctx, plainInstance{inst}, IDBOptions{Delta: 1, Workers: 1})
+		plain, err := IDB(ctx, plainInstance{inst}, IDBOptions{Delta: 1})
 		if err != nil {
 			t.Fatalf("%s: plain IDB: %v", name, err)
 		}
@@ -242,8 +242,8 @@ func sameResult(t *testing.T, name string, a, b *Result) {
 // IDB (deployment at 60+ posts, uniform and clustered, plus placement
 // through idbGrow) and LocalSearch must return the same cost bits,
 // solution vector and evaluation count whether or not candidates are
-// pruned against the running best, and parallel IDB must match the
-// sequential run. Every deployment run must actually prune.
+// pruned against the running best. Every deployment run must actually
+// prune.
 func TestBoundedPricingPin(t *testing.T) {
 	ctx := context.Background()
 	clustered := func(seed int64, n, m int) *model.Problem {
@@ -264,25 +264,18 @@ func TestBoundedPricingPin(t *testing.T) {
 	}
 	for name, inst := range idbInsts {
 		rec := &recordingInstance{Instance: inst}
-		bounded, err := IDB(ctx, rec, IDBOptions{Delta: 1, Workers: 1})
+		bounded, err := IDB(ctx, rec, IDBOptions{Delta: 1})
 		if err != nil {
 			t.Fatalf("%s: IDB: %v", name, err)
 		}
 		if name != "placement" && rec.pricePrunes() == 0 {
 			t.Errorf("%s: IDB pruned no candidate", name)
 		}
-		exact, err := IDB(ctx, exactPricingInstance{inst}, IDBOptions{Delta: 1, Workers: 1})
+		exact, err := IDB(ctx, exactPricingInstance{inst}, IDBOptions{Delta: 1})
 		if err != nil {
 			t.Fatalf("%s: exact-pricing IDB: %v", name, err)
 		}
 		sameResult(t, name+" idb", bounded, exact)
-		if _, fixed := inst.FixedTotal(); fixed {
-			parallel, err := IDB(ctx, instanceOnly{inst}, IDBOptions{Delta: 1, Workers: 3})
-			if err != nil {
-				t.Fatalf("%s: parallel IDB: %v", name, err)
-			}
-			sameResult(t, name+" idb-parallel", bounded, parallel)
-		}
 	}
 	for _, seed := range []int64{2, 7} {
 		p := randomProblem(t, seed, 400, 60, 180)
@@ -334,7 +327,7 @@ func TestIDBTakesTreeRepair(t *testing.T) {
 		"clustered-60": clustered,
 	} {
 		rec := &recordingInstance{Instance: p}
-		if _, err := IDB(ctx, rec, IDBOptions{Delta: 1, Workers: 1}); err != nil {
+		if _, err := IDB(ctx, rec, IDBOptions{Delta: 1}); err != nil {
 			t.Fatalf("%s: IDB: %v", name, err)
 		}
 		var st model.EvalStats

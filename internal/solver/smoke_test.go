@@ -36,7 +36,7 @@ func TestSolversSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("iterative RFH: %v", err)
 	}
-	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatalf("IDB: %v", err)
 	}

@@ -58,8 +58,8 @@ func checkAgainstExhaustive(t *testing.T, name string, p *model.Problem) {
 		"iterRFH": func() (*Result, error) {
 			return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 		},
-		"IDB1": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}) },
-		"IDB2": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 2, Workers: 1}) },
+		"IDB1": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1}) },
+		"IDB2": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 2}) },
 	} {
 		res, err := solve()
 		if err != nil {
@@ -80,8 +80,8 @@ func TestSolutionsAreValid(t *testing.T) {
 		"iterRFH": func() (*Result, error) {
 			return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 		},
-		"IDB1":    func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}) },
-		"IDB3":    func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 3, Workers: 1}) },
+		"IDB1":    func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1}) },
+		"IDB3":    func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 3}) },
 		"optimal": func() (*Result, error) { return Optimal(context.Background(), p, OptimalOptions{}) },
 	} {
 		res, err := solve()
@@ -143,7 +143,7 @@ func TestSolversDeterministic(t *testing.T) {
 		"iterRFH": func() (*Result, error) {
 			return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 		},
-		"IDB1": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1}) },
+		"IDB1": func() (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1}) },
 	} {
 		a, err := solve()
 		if err != nil {
@@ -168,7 +168,7 @@ func TestSolversDeterministic(t *testing.T) {
 func TestIDBDeltaVariants(t *testing.T) {
 	p := randomProblem(t, 6, 200, 8, 23) // M-N = 15, not divisible by 2 or 4
 	for _, delta := range []int{1, 2, 4, 15, 100} {
-		res, err := IDB(context.Background(), p, IDBOptions{Delta: delta, Workers: 1})
+		res, err := IDB(context.Background(), p, IDBOptions{Delta: delta})
 		if err != nil {
 			t.Fatalf("delta=%d: %v", delta, err)
 		}
@@ -176,7 +176,7 @@ func TestIDBDeltaVariants(t *testing.T) {
 			t.Errorf("delta=%d deployed %d nodes", delta, res.Deploy.Sum())
 		}
 	}
-	if _, err := IDB(context.Background(), p, IDBOptions{Delta: 0, Workers: 1}); err == nil {
+	if _, err := IDB(context.Background(), p, IDBOptions{Delta: 0}); err == nil {
 		t.Error("IDB accepted delta = 0")
 	}
 }
@@ -185,7 +185,7 @@ func TestIDBExactWhenBudgetCoversSearch(t *testing.T) {
 	// With M = N (no spare nodes) every solver must agree exactly: the
 	// deployment is forced, so only routing matters.
 	p := randomProblem(t, 7, 200, 9, 9)
-	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestOptimalBudget(t *testing.T) {
 
 func TestOptimalAcceptsIncumbent(t *testing.T) {
 	p := randomProblem(t, 9, 200, 8, 20)
-	seed, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+	seed, err := IDB(context.Background(), p, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSolversRejectInvalidProblem(t *testing.T) {
 	bad.Nodes = 3 // fewer nodes than posts
 	for name, solve := range map[string]func() error{
 		"RFH":     func() error { _, err := RFH(context.Background(), &bad, RFHOptions{Iterations: 1}); return err },
-		"IDB":     func() error { _, err := IDB(context.Background(), &bad, IDBOptions{Delta: 1, Workers: 1}); return err },
+		"IDB":     func() error { _, err := IDB(context.Background(), &bad, IDBOptions{Delta: 1}); return err },
 		"Optimal": func() error { _, err := Optimal(context.Background(), &bad, OptimalOptions{}); return err },
 		"Naive":   func() error { _, err := NaiveExact(&bad); return err },
 	} {
@@ -248,7 +248,7 @@ func TestPaperScaleBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestAutoUsesIDBOnMidSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 1})
+	idb, err := IDB(context.Background(), p, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

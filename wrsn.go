@@ -184,7 +184,7 @@ func SolveIterativeRFH(p *Problem) (*Result, error) {
 // per-round increment delta (the paper compares with delta = 1). Slower
 // than RFH but typically a few percent cheaper.
 func SolveIDB(p *Problem, delta int) (*Result, error) {
-	return solver.IDB(context.Background(), p, IDBOptions{Delta: delta, Workers: 1})
+	return solver.IDB(context.Background(), p, solver.IDBOptions{Delta: delta})
 }
 
 // SolveOptimal computes the exact optimum by branch-and-bound; practical
@@ -234,21 +234,11 @@ type LocalSearchOptions = solver.LocalSearchOptions
 // AnnealOptions configures SolveAnneal.
 type AnnealOptions = solver.AnnealOptions
 
-// IDBOptions configures SolveIDBParallel.
-type IDBOptions = solver.IDBOptions
-
 // SolveAnneal refines a seed solution (default: iterative RFH) by
 // simulated annealing over single-node moves — unlike local search it can
 // escape 1-move-optimal basins, and it never returns worse than its seed.
 func SolveAnneal(p *Problem, opts AnnealOptions) (*Result, error) {
 	return solver.Anneal(context.Background(), p, opts)
-}
-
-// SolveIDBParallel is IDB with a concurrent candidate-evaluation pool
-// for delta = 1 (delta > 1 runs sequentially at any worker count);
-// results are bit-identical to SolveIDB.
-func SolveIDBParallel(p *Problem, opts IDBOptions) (*Result, error) {
-	return solver.IDB(context.Background(), p, opts)
 }
 
 // GenSpec parameterises GenerateProblem.

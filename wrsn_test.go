@@ -175,16 +175,16 @@ func TestFacadeSolveAndAnneal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idbPar, err := SolveIDBParallel(p, IDBOptions{Delta: 1, Workers: 2})
+	idb, err := SolveIDB(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, res := range map[string]*Result{"auto": auto, "anneal": ann, "idb-parallel": idbPar} {
+	for name, res := range map[string]*Result{"auto": auto, "anneal": ann, "idb": idb} {
 		if _, err := Evaluate(p, res.Deploy, res.Tree); err != nil {
 			t.Errorf("%s produced invalid solution: %v", name, err)
 		}
 	}
-	if idbPar.Cost > auto.Cost+1e-6 {
-		t.Errorf("auto (%v) should not lose to IDB (%v) at this scale", auto.Cost, idbPar.Cost)
+	if idb.Cost > auto.Cost+1e-6 {
+		t.Errorf("auto (%v) should not lose to IDB (%v) at this scale", auto.Cost, idb.Cost)
 	}
 }
