@@ -54,7 +54,7 @@ func Calibrate(txPowerMW, refDist float64, cells []Measurement) (*Calibration, e
 	}
 	kappa := -slope
 	// ln P(refDist) = intercept + slope*refDist; eta0 = P(refDist)/Tx.
-	pRef := math.Exp(intercept + slope*refDist)
+	pRef := math.Exp(intercept + float64(slope*refDist))
 	return &Calibration{
 		RefEfficiency: pRef / txPowerMW,
 		Decay:         kappa,
@@ -89,19 +89,19 @@ func linearFit(xs, ys []float64) (slope, intercept, r2 float64, err error) {
 	var sxx, sxy, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-meanX, ys[i]-meanY
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxx += float64(dx * dx)
+		sxy += float64(dx * dy)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 {
 		return 0, 0, 0, errors.New("charging: calibrate needs measurements at distinct distances")
 	}
 	slope = sxy / sxx
-	intercept = meanY - slope*meanX
+	intercept = meanY - float64(slope*meanX)
 	if syy == 0 {
 		return slope, intercept, 1, nil
 	}
-	ssRes := syy - slope*sxy
+	ssRes := syy - float64(slope*sxy)
 	r2 = 1 - ssRes/syy
 	return slope, intercept, r2, nil
 }

@@ -124,7 +124,7 @@ func (l Lab) shadowFactor(m int, spacing float64) float64 {
 	if fade < 0 {
 		fade = 0
 	}
-	return 1 - l.ShadowClose*fade
+	return 1 - float64(l.ShadowClose*fade)
 }
 
 // PerNodePower returns the noise-free expected received power (mW) per
@@ -181,17 +181,17 @@ func (l Lab) MeasureCell(rng *rand.Rand, m int, d, spacing float64, trials int) 
 	for t := 0; t < trials; t++ {
 		v := base
 		if l.NoiseStdDev > 0 {
-			noise := 1 + rng.NormFloat64()*l.NoiseStdDev
+			noise := 1 + float64(rng.NormFloat64()*l.NoiseStdDev)
 			if noise < 0 {
 				noise = 0
 			}
 			v = base * noise
 		}
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 	}
 	mean := sum / float64(trials)
-	variance := sumSq/float64(trials) - mean*mean
+	variance := sumSq/float64(trials) - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}

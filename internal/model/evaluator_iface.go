@@ -89,6 +89,10 @@ func EvaluatorFeatures() map[string]bool {
 		// the shared budget, priced by one shortest-path tree, before
 		// applying any move (PruneByRelayBound).
 		"relay_bounds": true,
+		// The relay bound's chords stop at the most energy any routing
+		// tree can make a post spend, which strengthens it and moves
+		// branch and bound's evaluation counts.
+		"relay_energy_caps": true,
 		// IDB and local search prune candidates that cannot win from
 		// their repair patch's lower bound, skipping the O(N) cost fold
 		// (CostDeltaCached, CachedCostBounded).

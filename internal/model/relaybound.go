@@ -1,12 +1,15 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // relayLambdaFrac sets the bound's multiplier on the shared budget:
-// λ = relayLambdaFrac·limit/budget. Any λ ≥ 0 gives a valid bound; this
-// one prunes the most branch-and-bound nodes on the exact-small pool and
-// on Fig. 7a (0.1 to 0.5 were measured; EXPERIMENTS.md).
-const relayLambdaFrac = 0.2
+// λ = relayLambdaFrac·limit/budget. Any λ ≥ 0 gives a valid bound; with
+// the chords capped at ecap this one runs the exact-small pool and Figs.
+// 7a and 7b fastest (0.1 to 0.5 were measured; EXPERIMENTS.md).
+const relayLambdaFrac = 0.25
 
 // relayMarginScale sets the bound's float margin at (n+2)·2⁻⁴⁰ of the
 // magnitude of its terms, the same scale as patchBound's; DESIGN.md §3.4
@@ -17,14 +20,39 @@ const relayMarginScale = 0x1p-40
 // buffers, built on first use.
 type relayScratch struct {
 	scale float64   // (n+2)·relayMarginScale
+	hasOH bool      // the problem charges per-post overheads
+	oh    []float64 // per post: its overhead, 0 without overheads
 	minTx []float64 // per post: its cheapest out-edge's tx
 	lo    []float64 // per post: a float below rate·minTx
+	ecap  []float64 // per post: a float above the most energy any tree makes it spend
 	inv   []float64 // inv[x] = 1/eff(x) for 1 <= x <= the problem's nodes
 	beta  []float64 // per post: the SPT's inverse efficiency
 	rxb   []float64 // per post: rx·beta
 	hop   []float64 // per post: minTx·beta, below its every hop's weight
 	dist  []float64
 	ids   []int32 // unsettled posts
+
+	// chords holds every post's chord per (capEach, budget), priced at
+	// the limit the slot is stamped with.
+	chords map[relayKey]*relaySlot
+}
+
+// relayKey names a chord-table slot.
+type relayKey struct{ capEach, budget int }
+
+// relaySlot is one (capEach, budget) slot of the chord table: the chord
+// of every post, were it undecided, at the limit whose bits are stamped.
+type relaySlot struct {
+	limit uint64
+	c     []relayChord
+}
+
+// relayChord is an undecided post's part of the bound: the chord's slope
+// s, its terms in rest and in mag, or outright when the post alone
+// spends the limit in every tree.
+type relayChord struct {
+	s, rest, mag float64
+	outright     bool
 }
 
 // relay returns the evaluator's relay-bound scratch, building it on
@@ -33,27 +61,40 @@ func (ev *IncrementalEvaluator) relay() (*relayScratch, error) {
 	if rb := ev.rb; rb != nil {
 		return rb, nil
 	}
-	n, c := ev.n, ev.c
+	n, c, p := ev.n, ev.c, ev.p
 	rb := &relayScratch{
-		scale: float64(float64(n+2) * relayMarginScale),
-		minTx: make([]float64, n),
-		lo:    make([]float64, n),
-		inv:   make([]float64, ev.p.Nodes+1),
-		beta:  make([]float64, n),
-		rxb:   make([]float64, n),
-		hop:   make([]float64, n),
-		dist:  make([]float64, n),
-		ids:   make([]int32, n),
+		scale:  float64(float64(n+2) * relayMarginScale),
+		hasOH:  p.HasOverhead(),
+		oh:     make([]float64, n),
+		minTx:  make([]float64, n),
+		lo:     make([]float64, n),
+		ecap:   make([]float64, n),
+		inv:    make([]float64, p.Nodes+1),
+		beta:   make([]float64, n),
+		rxb:    make([]float64, n),
+		hop:    make([]float64, n),
+		dist:   make([]float64, n),
+		ids:    make([]int32, n),
+		chords: make(map[relayKey]*relaySlot),
 	}
+	// A post u relays at most the whole rate R through its parent edge,
+	// so in every tree E_u = tx·F_u + rx·(F_u − r_u) ≤ R·maxTx + rx·(R − r_u).
+	total := ev.rateTotal
 	for u := 0; u < n; u++ {
-		minTx := inf
+		if rb.hasOH {
+			rb.oh[u] = p.Overhead(u)
+		}
+		minTx, maxTx := inf, 0.0
 		for os := c.outOff[u]; os < c.outOff[u+1]; os++ {
 			minTx = min(minTx, c.outTx[os])
+			maxTx = max(maxTx, c.outTx[os])
 		}
 		if minTx < inf {
 			rb.minTx[u] = minTx
 			rb.lo[u] = float64(float64(ev.rates[u]*minTx) * (1 - rb.scale))
 		}
+		ecap := float64(total*maxTx) + float64(ev.rx*(total-ev.rates[u]))
+		rb.ecap[u] = float64(ecap * (1 + rb.scale))
 	}
 	rb.inv[0] = inf
 	for x := 1; x < len(rb.inv); x++ {
@@ -65,6 +106,52 @@ func (ev *IncrementalEvaluator) relay() (*relayScratch, error) {
 	}
 	ev.rb = rb
 	return rb, nil
+}
+
+// slot returns the chords for (capEach, budget) at limit, pricing them
+// when the slot is new or was priced at another limit. lam and hi are
+// the limit's multiplier and interval end.
+func (rb *relayScratch) slot(capEach, budget int, limit, lam, hi float64) []relayChord {
+	key := relayKey{capEach, budget}
+	sl := rb.chords[key]
+	if sl == nil {
+		sl = &relaySlot{c: make([]relayChord, len(rb.lo))}
+		rb.chords[key] = sl
+	} else if sl.limit == math.Float64bits(limit) {
+		return sl.c
+	}
+	sl.limit = math.Float64bits(limit)
+	for u := range sl.c {
+		sl.c[u] = rb.chord(u, capEach, lam, hi)
+	}
+	return sl.c
+}
+
+// chord prices post u's chord of g_u over [lo_u, min(hi, ecap_u)]; a
+// post whose lo_u reaches hi is outright, and an interval the cap
+// closes gets the flat chord at lo_u.
+func (rb *relayScratch) chord(u, capEach int, lam, hi float64) relayChord {
+	inv, lu, oh := rb.inv, rb.lo[u], rb.oh[u]
+	if !(hi > lu) {
+		return relayChord{outright: true}
+	}
+	hu := min(hi, rb.ecap[u])
+	el, eh := lu+oh, hu+oh
+	gl, gh := inf, inf
+	for x := 1; x <= capEach; x++ {
+		lx := float64(lam * float64(x))
+		gl = min(gl, float64(el*inv[x])+lx)
+		gh = min(gh, float64(eh*inv[x])+lx)
+	}
+	if !(hu > lu) {
+		return relayChord{rest: gl, mag: gl}
+	}
+	s := (gh - gl) / (hu - lu)
+	if !(s > 0) {
+		s = 0
+	}
+	shi := float64(s * hu)
+	return relayChord{s: s, rest: min(gl-float64(s*lu), gh-shi), mag: gh + shi}
 }
 
 // PruneByRelayBound reports whether no completion of a branch-and-bound
@@ -82,21 +169,25 @@ func (ev *IncrementalEvaluator) relay() (*relayScratch, error) {
 // g_u(E) = min over 1 ≤ x ≤ capEach of (E + O_u)/eff(x) + λx, and the
 // λ·m_u terms sum to λ·budget. g_u is concave, so on [lo_u, hi_u] it
 // lies above its chord a_u + s_u·E; lo_u is u's own report at its
-// cheapest hop, and hi_u = (limit+boundedSlack)·eff(capEach), since a
-// post spending more already costs its completion the limit. The chord
-// is linear in the post energies, so its minimum over routing trees is
-// one shortest-path tree in which decided posts keep 1/eff(m_u) and
-// undecided posts weigh s_u:
+// cheapest hop, and hi_u is the lower of (limit+boundedSlack)·eff(capEach),
+// since a post spending more already costs its completion the limit,
+// and ecap_u = R·maxTx_u + rx·(R − r_u), the most any tree can make u
+// spend with R the total rate. The chord is linear in the post
+// energies, so its minimum over routing trees is one shortest-path tree
+// in which decided posts keep 1/eff(m_u) and undecided posts weigh s_u:
 //
 //	LB = SPT + Σ_D O_u/eff(m_u) + Σ_U a_u − λ·budget.
 //
 // The tree is settled by scan-min, and the test is repeated as vertices
 // settle, so a doomed node stops early. It asks for LB, less a float
 // margin of (n+2)·2⁻⁴⁰ of the terms' magnitude, to reach the
-// threshold; a post whose lo_u reaches hi_u proves the node outright.
-// DESIGN.md §3.4 has the proof and the margin's derivation.
+// threshold; a post whose lo_u reaches the limit's interval end proves
+// the node outright. The chords depend only on (capEach, budget, limit),
+// so each is priced once per limit into a table and read back in the
+// same order, which leaves every sum bit-identical. DESIGN.md §3.4 has
+// the proof and the margin's derivation.
 func (ev *IncrementalEvaluator) PruneByRelayBound(counts []int, capEach, budget int, limit float64) (bool, error) {
-	n, c, p := ev.n, ev.c, ev.p
+	n, c := ev.n, ev.c
 	if len(counts) != n {
 		return false, fmt.Errorf("model: deployment covers %d posts, want %d", len(counts), n)
 	}
@@ -117,10 +208,11 @@ func (ev *IncrementalEvaluator) PruneByRelayBound(counts []int, capEach, budget 
 		lam = 0
 	}
 	hi := float64(float64(thr/inv[capEach]) * (1 + rb.scale))
-	hasOH := p.HasOverhead()
-	beta, lo := rb.beta, rb.lo
+	beta, oh := rb.beta, rb.oh
+	chords := rb.slot(capEach, budget, limit, lam, hi)
 	// rest collects the routing-independent terms, mag their magnitude
-	// (the chords are weighed at hi, where they are largest).
+	// (the chords are weighed at their interval's top, where they are
+	// largest).
 	lamB := float64(lam * float64(budget))
 	rest, mag := -lamB, lamB
 	undecided, outright := 0, false
@@ -128,39 +220,25 @@ func (ev *IncrementalEvaluator) PruneByRelayBound(counts []int, capEach, budget 
 		if mu < 0 || mu >= len(inv) {
 			return false, fmt.Errorf("model: post %d holds %d nodes", u, mu)
 		}
-		var oh float64
-		if hasOH {
-			oh = p.Overhead(u)
-		}
 		if mu > 0 {
 			b := inv[mu]
 			beta[u] = b
-			o := float64(oh * b)
-			rest += o
-			mag += o
+			if rb.hasOH {
+				o := float64(oh[u] * b)
+				rest += o
+				mag += o
+			}
 			continue
 		}
 		undecided++
-		lu := lo[u]
-		if !(hi > lu) {
+		ch := &chords[u]
+		if ch.outright {
 			outright = true // u alone spends the limit in every tree
 			continue
 		}
-		el, eh := lu+oh, hi+oh
-		gl, gh := inf, inf
-		for x := 1; x <= capEach; x++ {
-			lx := float64(lam * float64(x))
-			gl = min(gl, float64(el*inv[x])+lx)
-			gh = min(gh, float64(eh*inv[x])+lx)
-		}
-		s := (gh - gl) / (hi - lu)
-		if !(s > 0) {
-			s = 0
-		}
-		shi := float64(s * hi)
-		rest += min(gl-float64(s*lu), gh-shi)
-		mag += gh + shi
-		beta[u] = s
+		rest += ch.rest
+		mag += ch.mag
+		beta[u] = ch.s
 	}
 	if undecided == 0 || budget < undecided {
 		return false, fmt.Errorf("model: relay bound: %d undecided posts cannot share %d nodes", undecided, budget)

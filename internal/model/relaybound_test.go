@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wrsn/internal/charging"
+	"wrsn/internal/geom"
 )
 
 // TestRelayBoundSound is the promise branch and bound relies on: when
@@ -69,6 +70,11 @@ func checkRelayBound(t *testing.T, p *Problem, rng *rand.Rand) (prunes, asked in
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb, err := inc.relay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := p.Energy.RxEnergy()
 	counts := make([]int, n)
 	m := make([]int, n)
 	for trial := 0; trial < 8; trial++ {
@@ -90,11 +96,23 @@ func checkRelayBound(t *testing.T, p *Problem, rng *rand.Rand) (prunes, asked in
 			for i, u := range undecided {
 				m[u] = parts[i]
 			}
-			c, err := oracle.MinCost(m)
+			parents, c, err := oracle.BestParents(m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cheapest = min(cheapest, c)
+			// The chords stop at ecap: no post of the optimal tree may
+			// spend more.
+			tree, err := NewTreeFromParents(p, parents)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u, f := range tree.SubtreeLoads(p) {
+				tx := p.Energy.TxEnergyAtLevel(tree.Level[u])
+				if e := float64(f*tx) + float64((f-p.Rate(u))*rx); !(e <= rb.ecap[u]) {
+					t.Fatalf("counts %v: post %d spends %v in its optimal tree, above its cap %v", m, u, e, rb.ecap[u])
+				}
+			}
 		})
 
 		ask := func(limit float64) bool {
@@ -212,4 +230,182 @@ func TestRelayBoundLeavesProbeAndRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: no error", b.name)
 		}
 	}
+}
+
+// TestRelayBoundChordTable checks that the chord table PruneByRelayBound
+// reads from is the chords it would price fresh: over random nodes,
+// budgets above the problem's nodes and a limit that falls between
+// calls, as a branch-and-bound incumbent does, every post's slope, rest
+// term and mag term in the slot a call used equal freshChord's bit for
+// bit.
+func TestRelayBoundChordTable(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cm := charging.Default()
+		if seed%2 == 0 {
+			cm = charging.Model{EtaSingle: 1, Gain: charging.Saturating(5)}
+		}
+		n := 4 + rng.Intn(6)
+		p := diffProblem(t, seed, n, 3*n, cm)
+		if seed%3 == 0 {
+			weightProblem(t, p, seed)
+		}
+		inc, err := NewIncrementalEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := NewCostEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		even := make([]int, n)
+		for i := range even {
+			even[i] = 3
+		}
+		limit, err := oracle.MinCost(even)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, n)
+		for call := 0; call < 300; call++ {
+			if rng.Intn(10) == 0 {
+				limit *= 0.9 + 0.1*rng.Float64()
+			}
+			for i := range counts {
+				counts[i] = 0
+			}
+			undecided := n
+			for _, u := range rng.Perm(n)[:rng.Intn(n-1)] {
+				counts[u] = 1 + rng.Intn(p.Nodes)
+				undecided--
+			}
+			capEach := 1 + rng.Intn(p.Nodes)
+			budget := undecided + rng.Intn(2*p.Nodes)
+			if _, err := inc.PruneByRelayBound(counts, capEach, budget, limit); err != nil {
+				t.Fatal(err)
+			}
+			sl := inc.rb.chords[relayKey{capEach, budget}]
+			if sl == nil || sl.limit != math.Float64bits(limit) {
+				t.Fatalf("call %d: no slot priced at limit %v for (%d, %d)", call, limit, capEach, budget)
+			}
+			for u, got := range sl.c {
+				want := freshChord(inc.rb, u, capEach, budget, limit)
+				if got.outright != want.outright ||
+					math.Float64bits(got.s) != math.Float64bits(want.s) ||
+					math.Float64bits(got.rest) != math.Float64bits(want.rest) ||
+					math.Float64bits(got.mag) != math.Float64bits(want.mag) {
+					t.Fatalf("seed %d call %d post %d, (capEach %d, budget %d, limit %v): table %+v, fresh %+v",
+						seed, call, u, capEach, budget, limit, got, want)
+				}
+			}
+		}
+	}
+}
+
+// freshChord prices post u's chord from the bound's definition, without
+// the table: g_u(E) = min over 1 ≤ x ≤ capEach of (E + O_u)/eff(x) + λx
+// on [lo_u, min(hi, ecap_u)], hi = (limit+boundedSlack)·eff(capEach)
+// inflated by the margin.
+func freshChord(rb *relayScratch, u, capEach, budget int, limit float64) relayChord {
+	lam := float64(relayLambdaFrac*limit) / float64(budget)
+	if !(lam > 0) {
+		lam = 0
+	}
+	hi := float64(float64((limit+boundedSlack)/rb.inv[capEach]) * (1 + rb.scale))
+	lo, top := rb.lo[u], min(hi, rb.ecap[u])
+	if !(hi > lo) {
+		return relayChord{outright: true}
+	}
+	g := func(e float64) float64 {
+		best := math.Inf(1)
+		for x := 1; x <= capEach; x++ {
+			best = min(best, float64((e+rb.oh[u])*rb.inv[x])+float64(lam*float64(x)))
+		}
+		return best
+	}
+	gl, gh := g(lo), g(top)
+	if !(top > lo) {
+		return relayChord{rest: gl, mag: gl}
+	}
+	s := max((gh-gl)/(top-lo), 0)
+	return relayChord{s: s, rest: min(gl-float64(s*lo), gh-float64(s*top)), mag: gh + float64(s*top)}
+}
+
+// BenchmarkPruneByRelayBound times the relay bound on a warm mix of
+// branch-and-bound nodes of a Fig. 7 instance (10 posts, 36 nodes),
+// judged against a greedy incumbent's cost: the chord table is filled,
+// so a call is the fold and the shortest-path tree.
+func BenchmarkPruneByRelayBound(b *testing.B) {
+	p, err := GenerateProblem(rand.New(rand.NewSource(1)), GenSpec{Field: geom.Square(200), Posts: 10, Nodes: 36})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := p.N()
+	oracle, err := NewCostEvaluator(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The incumbent: every extra node to the post it helps most.
+	m := make([]int, n)
+	for i := range m {
+		m[i] = 1
+	}
+	limit := math.Inf(1)
+	for left := p.Nodes - n; left > 0; left-- {
+		best, at := math.Inf(1), 0
+		for u := range m {
+			m[u]++
+			if c, err := oracle.MinCost(m); err != nil {
+				b.Fatal(err)
+			} else if c < best {
+				best, at = c, u
+			}
+			m[u]--
+		}
+		m[at]++
+		limit = best
+	}
+	// Nodes as the search meets them: a prefix of posts decided, the
+	// rest sharing what is left, at least two of them with a choice.
+	type node struct {
+		counts          []int
+		capEach, budget int
+	}
+	rng := rand.New(rand.NewSource(2))
+	var nodes []node
+	for len(nodes) < 64 {
+		depth := 1 + rng.Intn(n-2)
+		counts := make([]int, n)
+		budget := p.Nodes
+		for _, u := range rng.Perm(n)[:depth] {
+			counts[u] = 1 + rng.Intn(6)
+			budget -= counts[u]
+		}
+		if capEach := budget - (n - depth - 1); capEach > 1 {
+			nodes = append(nodes, node{counts, capEach, budget})
+		}
+	}
+	ev, err := NewIncrementalEvaluator(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prune := func(nd node) bool {
+		doomed, err := ev.PruneByRelayBound(nd.counts, nd.capEach, nd.budget, limit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return doomed
+	}
+	rejected := 0
+	for _, nd := range nodes {
+		if prune(nd) {
+			rejected++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prune(nodes[i%len(nodes)])
+	}
+	b.ReportMetric(float64(rejected)/float64(len(nodes)), "rejected/node")
 }
