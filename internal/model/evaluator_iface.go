@@ -45,19 +45,24 @@ type Move struct {
 //   - CommitCached(id) promotes a slot to the committed state. ok=false
 //     leaves the evaluator untouched, and the caller commits through
 //     CostDelta+Commit instead.
+//   - PruneUnitAdd(post, limit), asked of the idle committed state
+//     before a fresh probe of one unit added to post, answers true only
+//     when that candidate provably costs at least limit+boundedSlack. It
+//     leaves the evaluator untouched and is not a probe; false says
+//     nothing, and the caller probes.
 //
 // A limit of +Inf prices exactly. Implementations may decline to cache
 // (every lookup and promotion misses) and may price exactly without ever
-// pruning: the slot calls license reuse and early answers, they never
-// change results. Every returned cost is bit-identical to re-probing,
-// which the differential suites pin.
+// pruning or rejecting: the slot calls license reuse and early answers,
+// they never change results. Every returned cost is bit-identical to
+// re-probing, which the differential suites pin.
 //
 // IncrementalEvaluator is the production implementation (local
 // shortest-path repair per probe, a patch cache and patch-bound
 // pruning); NewReferenceEvaluator wraps the stateless CostEvaluator in
 // the same protocol as a correctness oracle that keeps no slots and
-// never prunes. Implementations are not safe for concurrent use;
-// parallel solvers hold one per worker.
+// never prunes or rejects. Implementations are not safe for concurrent
+// use; parallel solvers hold one per worker.
 type Evaluator interface {
 	Cost(m []int) (float64, error)
 	CostDelta(moves []Move) (float64, error)
@@ -67,6 +72,7 @@ type Evaluator interface {
 	CostDeltaCached(id int, moves []Move, limit float64) (cost float64, pruned bool, err error)
 	CachedCostBounded(id int, limit float64) (cost float64, pruned, ok bool)
 	CommitCached(id int) (cost float64, ok bool)
+	PruneUnitAdd(post int, limit float64) bool
 }
 
 // EvaluatorFeatures names the evaluator-level optimisations this build
@@ -97,6 +103,10 @@ func EvaluatorFeatures() map[string]bool {
 		// their repair patch's lower bound, skipping the O(N) cost fold
 		// (CostDeltaCached, CachedCostBounded).
 		"bounded_candidates": true,
+		// IDB rejects unit adds that cannot win from the committed tree's
+		// subtree rates and reduced costs, before any repair
+		// (PruneUnitAdd); this lowers IDB's evaluation counts.
+		"subtree_bounds": true,
 	}
 }
 

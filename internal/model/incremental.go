@@ -115,7 +115,8 @@ type IncrementalEvaluator struct {
 	downs      []int
 
 	// Subtree-walk table (see treeRepair), built lazily from the
-	// committed state by the first single-strengthening probe after Cost,
+	// committed state, with PruneUnitAdd's subtree sums (buildTables), by
+	// the first single-strengthening probe or PruneUnitAdd after Cost,
 	// Commit or CommitCached, which drop it:
 	//   minRC[v]   = min over v's in-edges from non-children u of the
 	//                reduced cost (d(v) + (inTxw[s] + rxw[v])) - d(u)
@@ -143,6 +144,10 @@ type IncrementalEvaluator struct {
 
 	// PruneByRelayBound scratch (nil until first used; see relaybound.go).
 	rb *relayScratch
+
+	// PruneUnitAdd tables (nil until the first tree table; see
+	// treebound.go).
+	tb *treeBound
 }
 
 // distSave journals one vertex's pre-probe shortest-path state. Entries
@@ -238,6 +243,10 @@ type EvalStats struct {
 	// CachePromotes counts commits replayed from a cached probe's patch
 	// instead of a second repair (CommitCached).
 	CachePromotes int64
+	// TreePrunes counts PruneUnitAdd calls that proved a unit add reaches
+	// the caller's limit from the committed tree, before any repair. Like
+	// FloorPrunes they are not probes.
+	TreePrunes int64
 }
 
 // NewIncrementalEvaluator precomputes the communication topology of p.
@@ -711,7 +720,7 @@ func (ev *IncrementalEvaluator) repair() {
 	tiny := ev.n+1 <= tinyVerts
 	walk := !tiny && !ev.heapOnly && len(ev.ups) == 1 && len(ev.downs) == 0
 	if walk && !ev.treeOK {
-		ev.buildTreeTable() // from the committed weights, before reweighting
+		ev.buildTables() // from the committed weights, before reweighting
 	}
 	var oldRxw float64
 	if walk {

@@ -33,8 +33,13 @@ type relayScratch struct {
 	ids   []int32 // unsettled posts
 
 	// chords holds every post's chord per (capEach, budget), priced at
-	// the limit the slot is stamped with.
-	chords map[relayKey]*relaySlot
+	// the limit the slot is stamped with. byBudget[budget][capEach] is
+	// the same slot, which calls read without hashing; the map is
+	// written once per new slot, and TestRelayBoundChordTable reads the
+	// table through it. Rows grow on demand, to whatever budget a caller
+	// passes.
+	chords   map[relayKey]*relaySlot
+	byBudget [][]*relaySlot
 }
 
 // relayKey names a chord-table slot.
@@ -112,11 +117,12 @@ func (ev *IncrementalEvaluator) relay() (*relayScratch, error) {
 // when the slot is new or was priced at another limit. lam and hi are
 // the limit's multiplier and interval end.
 func (rb *relayScratch) slot(capEach, budget int, limit, lam, hi float64) []relayChord {
-	key := relayKey{capEach, budget}
-	sl := rb.chords[key]
+	var sl *relaySlot
+	if uint(budget) < uint(len(rb.byBudget)) {
+		sl = rb.byBudget[budget][capEach]
+	}
 	if sl == nil {
-		sl = &relaySlot{c: make([]relayChord, len(rb.lo))}
-		rb.chords[key] = sl
+		sl = rb.newSlot(capEach, budget)
 	} else if sl.limit == math.Float64bits(limit) {
 		return sl.c
 	}
@@ -309,4 +315,24 @@ func (ev *IncrementalEvaluator) PruneByRelayBound(counts []int, capEach, budget 
 		return true, nil
 	}
 	return false, nil
+}
+
+// newSlot adds an unpriced slot for (capEach, budget) to the chord
+// table, growing byBudget a row per budget up to budget. It runs once
+// per slot, so it stays out of line and slot's lookup stays small. A
+// negative budget, which PruneByRelayBound rejects once it has counted
+// the undecided posts, gets a slot that byBudget does not index.
+//
+//go:noinline
+func (rb *relayScratch) newSlot(capEach, budget int) *relaySlot {
+	sl := &relaySlot{c: make([]relayChord, len(rb.lo))}
+	rb.chords[relayKey{capEach, budget}] = sl
+	if budget < 0 {
+		return sl
+	}
+	for len(rb.byBudget) <= budget {
+		rb.byBudget = append(rb.byBudget, make([]*relaySlot, len(rb.inv)))
+	}
+	rb.byBudget[budget][capEach] = sl
+	return sl
 }

@@ -62,7 +62,7 @@ func (c *costModel) supplyOf(m []int, i int) float64 {
 	supply := 0.0
 	for j, mj := range m {
 		if mj != 0 && row[j] != 0 {
-			supply += float64(mj) * row[j]
+			supply += float64(float64(mj) * row[j])
 		}
 	}
 	return supply
@@ -75,7 +75,7 @@ func (c *costModel) price(m []int, supply []float64) float64 {
 	cost := 0.0
 	for j, mj := range m {
 		if mj != 0 {
-			cost += float64(mj) * c.inst.Sites[j].Cost
+			cost += float64(float64(mj) * c.inst.Sites[j].Cost)
 		}
 	}
 	short := 0.0
@@ -84,7 +84,7 @@ func (c *costModel) price(m []int, supply []float64) float64 {
 			short += 1 - supply[i]/d
 		}
 	}
-	return cost + c.inst.Penalty*short
+	return cost + float64(c.inst.Penalty*short)
 }
 
 // fullPrice validates m, recomputes every post's supply into supply, and

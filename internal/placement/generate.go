@@ -40,7 +40,10 @@ func Generate(rng *rand.Rand, gs GenSpec) (*Instance, error) {
 	posts := gs.Field.RandomPoints(rng, gs.Posts)
 	demand := make([]float64, gs.Posts)
 	for i := range demand {
-		demand[i] = gs.DemandMean * (1 + gs.DemandJitter*(2*rng.Float64()-1))
+		// The conversion rounds Float64's inlined product, which would
+		// otherwise fuse into the doubling below.
+		u := float64(rng.Float64())
+		demand[i] = gs.DemandMean * (1 + float64(gs.DemandJitter*(2*u-1)))
 	}
 	inst := &Instance{
 		Posts:      posts,

@@ -230,7 +230,7 @@ func GridSites(lo, hi geom.Point, spec SiteSpec) []Site {
 				Y: float64(r) / float64(k-1),
 			}
 			sites = append(sites, Site{
-				At:     geom.Point{X: lo.X + t.X*(hi.X-lo.X), Y: lo.Y + t.Y*(hi.Y-lo.Y)},
+				At:     geom.Point{X: lo.X + float64(t.X*(hi.X-lo.X)), Y: lo.Y + float64(t.Y*(hi.Y-lo.Y))},
 				Cost:   spec.Cost,
 				Power:  spec.Power,
 				Radius: spec.Radius,

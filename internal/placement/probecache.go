@@ -210,3 +210,10 @@ func (e *IncrementalEvaluator) CacheHits() int64 { return e.cacheHits }
 // CachePromotes reports how many cached probes were promoted straight
 // to the committed placement.
 func (e *IncrementalEvaluator) CachePromotes() int64 { return e.cachePromotes }
+
+// PruneUnitAdd never rejects: placement has no committed tree to bound
+// a candidate from, so every candidate is probed.
+func (e *IncrementalEvaluator) PruneUnitAdd(int, float64) bool { return false }
+
+// PruneUnitAdd never rejects: the oracle prices every candidate.
+func (r *ReferenceEvaluator) PruneUnitAdd(int, float64) bool { return false }

@@ -259,14 +259,15 @@ func idbGrow(ctx context.Context, ev model.Evaluator, cur []int, curCost float64
 
 // bestUnitAdd scans the unit-add candidates i = n-1 .. 0 with headroom
 // under ub and returns the round winner (-1 when none has headroom) and
-// its cost. Fresh probes count in *evaluations; cached re-prices ran no
-// repair and do not. A candidate replaces the incumbent only on
+// its cost. Fresh probes count in *evaluations; cached re-prices and
+// candidates PruneUnitAdd rejects before a probe ran no repair and do
+// not. A candidate replaces the incumbent only on
 // cost < bestCost-costSlack: the first-seen placement (largest i) is
 // the lexicographically smallest extra vector, so every tie keeps the
 // incumbent, exactly as less() orders compositions. That test is also
-// the pricing limit — a candidate priced pruned (exact cost >= limit)
-// could not have replaced the incumbent, so bounded pricing never
-// changes the winner.
+// the pricing limit — a candidate priced pruned or rejected (exact cost
+// >= limit) could not have replaced the incumbent, so bounded pricing
+// never changes the winner.
 func bestUnitAdd(ctx context.Context, ev model.Evaluator, cur, ub []int, evaluations *int64) (int, float64, error) {
 	mv := make([]model.Move, 1)
 	bestI, bestCost := -1, 0.0
@@ -280,6 +281,9 @@ func bestUnitAdd(ctx context.Context, ev model.Evaluator, cur, ub []int, evaluat
 		}
 		cost, pruned, hit := ev.CachedCostBounded(i, limit)
 		if !hit {
+			if bestI >= 0 && ev.PruneUnitAdd(i, limit) {
+				continue // rejected from the committed tree: no probe ran
+			}
 			if *evaluations%ctxCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return 0, 0, err

@@ -165,9 +165,9 @@ func plainlessWrap(inst model.Instance) model.Instance {
 }
 
 // exactPricingInstance hands the solvers an evaluator whose probe cache
-// forwards both bounded pricing calls with the limit forced to +Inf, so
-// no candidate is ever pruned: the reference run for the bounded
-// pricing pin.
+// forwards both bounded pricing calls with the limit forced to +Inf and
+// never rejects a unit add, so no candidate is ever pruned: the
+// reference run for the bounded pricing pin.
 type exactPricingInstance struct {
 	model.Instance
 }
@@ -181,10 +181,12 @@ func (ei exactPricingInstance) NewEvaluator() (model.Evaluator, error) {
 }
 
 // exactPricingEvaluator is the production evaluator with both bounded
-// pricing calls forced to limit +Inf.
+// pricing calls forced to limit +Inf and the subtree bound off.
 type exactPricingEvaluator struct {
 	model.Evaluator
 }
+
+func (e *exactPricingEvaluator) PruneUnitAdd(int, float64) bool { return false }
 
 func (e *exactPricingEvaluator) CostDeltaCached(id int, moves []model.Move, _ float64) (float64, bool, error) {
 	return e.Evaluator.CostDeltaCached(id, moves, math.Inf(1))
@@ -218,9 +220,27 @@ func (ri *recordingInstance) pricePrunes() int64 {
 	return sum
 }
 
+// treePrunes sums the recorded evaluators' TreePrunes.
+func (ri *recordingInstance) treePrunes() int64 {
+	var sum int64
+	for _, ev := range ri.evs {
+		sum += ev.Stats().TreePrunes
+	}
+	return sum
+}
+
 // sameResult fails unless a and b agree in cost bits, solution vector
 // and evaluation count.
 func sameResult(t *testing.T, name string, a, b *Result) {
+	t.Helper()
+	samePlan(t, name, a, b)
+	if a.Evaluations != b.Evaluations {
+		t.Fatalf("%s: %d evaluations != %d", name, a.Evaluations, b.Evaluations)
+	}
+}
+
+// samePlan fails unless a and b agree in cost bits and solution vector.
+func samePlan(t *testing.T, name string, a, b *Result) {
 	t.Helper()
 	if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) {
 		t.Fatalf("%s: cost %.17g != %.17g", name, a.Cost, b.Cost)
@@ -233,17 +253,20 @@ func sameResult(t *testing.T, name string, a, b *Result) {
 			t.Fatalf("%s: vectors diverge at %d: %v vs %v", name, i, a.Vector, b.Vector)
 		}
 	}
-	if a.Evaluations != b.Evaluations {
-		t.Fatalf("%s: %d evaluations != %d", name, a.Evaluations, b.Evaluations)
-	}
 }
 
 // TestBoundedPricingPin pins bounded candidate pricing to exact pricing:
 // IDB (deployment at 60+ posts, uniform and clustered, plus placement
-// through idbGrow) and LocalSearch must return the same cost bits,
-// solution vector and evaluation count whether or not candidates are
-// pruned against the running best. Every deployment run must actually
-// prune.
+// through idbGrow) and LocalSearch must return the same cost bits and
+// solution vector whether or not candidates are pruned against the
+// running best. Every deployment run must actually prune, and IDB's
+// deployment runs must reject unit adds by the subtree bound. Local
+// search must also keep its evaluation count. IDB's falls: a rejected
+// unit add is not probed, so it is not an evaluation and leaves its
+// slot inactive for the next round. Every slot active in the bounded
+// run is active in the exact one, so each candidate the exact run
+// probed the bounded run probed or rejected:
+// bounded.Evaluations + TreePrunes >= exact.Evaluations.
 func TestBoundedPricingPin(t *testing.T) {
 	ctx := context.Background()
 	clustered := func(seed int64, n, m int) *model.Problem {
@@ -268,14 +291,19 @@ func TestBoundedPricingPin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: IDB: %v", name, err)
 		}
-		if name != "placement" && rec.pricePrunes() == 0 {
-			t.Errorf("%s: IDB pruned no candidate", name)
+		tree := rec.treePrunes()
+		if name != "placement" && (rec.pricePrunes() == 0 || tree == 0) {
+			t.Errorf("%s: IDB pruned %d candidates by price and rejected %d by the subtree bound", name, rec.pricePrunes(), tree)
 		}
 		exact, err := IDB(ctx, exactPricingInstance{inst}, IDBOptions{Delta: 1})
 		if err != nil {
 			t.Fatalf("%s: exact-pricing IDB: %v", name, err)
 		}
-		sameResult(t, name+" idb", bounded, exact)
+		samePlan(t, name+" idb", bounded, exact)
+		if bounded.Evaluations+tree < exact.Evaluations {
+			t.Fatalf("%s idb: %d evaluations and %d rejections cover fewer than the exact run's %d evaluations",
+				name, bounded.Evaluations, tree, exact.Evaluations)
+		}
 	}
 	for _, seed := range []int64{2, 7} {
 		p := randomProblem(t, seed, 400, 60, 180)

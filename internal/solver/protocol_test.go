@@ -70,27 +70,34 @@ func protocolBase(inst model.Instance) []int {
 //   - a +Inf limit never prunes;
 //   - a successful CommitCached leaves the same committed state as
 //     CostDelta+Commit on a twin evaluator; a failed one leaves the
-//     evaluator untouched.
+//     evaluator untouched;
+//   - PruneUnitAdd rejects only a unit add whose plain CostDelta is at
+//     or above the limit, never at a +Inf limit or a limit above that
+//     cost, never over a pending probe, and leaves the evaluator's
+//     prices unchanged.
 //
 // The production evaluators must actually hit and promote (the
 // deployment one outside its scan-min regime, which keeps no slots),
-// and the deployment one must prune; the reference evaluators must
-// never cache or prune.
+// and the deployment one must prune, and outside the scan-min regime
+// reject unit adds; the reference evaluators must never cache, prune or
+// reject, and placement never rejects.
 func TestEvaluatorProtocol(t *testing.T) {
 	cases := []struct {
-		name   string
-		inst   model.Instance
-		ref    bool
-		caches bool // lookups after a cached probe must hit, promotions succeed
-		prunes bool // the script must see at least one pruned answer
+		name    string
+		inst    model.Instance
+		ref     bool
+		caches  bool // lookups after a cached probe must hit, promotions succeed
+		prunes  bool // the script must see at least one pruned answer
+		rejects bool // PruneUnitAdd must reject at least one unit add; else none
 	}{
-		{"deployment/incremental", randomProblem(t, 3, 245, 24, 72), false, true, true},
+		{"deployment/incremental", randomProblem(t, 3, 245, 24, 72), false, true, true, true},
 		// The scan-min regime prunes mid-settle but journals no patch,
-		// so it keeps no slots.
-		{"deployment/incremental-tiny", randomProblem(t, 4, 200, 8, 24), false, false, true},
-		{"deployment/reference", randomProblem(t, 3, 245, 24, 72), true, false, false},
-		{"placement/incremental", testPlacementInstance(t, 5), false, true, false},
-		{"placement/reference", testPlacementInstance(t, 5), true, false, false},
+		// so it keeps no slots, and its child lists are stale, so it
+		// rejects no unit add.
+		{"deployment/incremental-tiny", randomProblem(t, 4, 200, 8, 24), false, false, true, false},
+		{"deployment/reference", randomProblem(t, 3, 245, 24, 72), true, false, false, false},
+		{"placement/incremental", testPlacementInstance(t, 5), false, true, false, false},
+		{"placement/reference", testPlacementInstance(t, 5), true, false, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,6 +153,9 @@ func TestEvaluatorProtocol(t *testing.T) {
 				}
 				if _, ok := ev.CommitCached(k); ok {
 					t.Fatalf("candidate %d: CommitCached succeeded on a pending evaluator", k)
+				}
+				if ev.PruneUnitAdd(cands[k][0].Post, 0) {
+					t.Fatalf("candidate %d: PruneUnitAdd rejected over a pending probe", k)
 				}
 				if err := ev.Revert(); err != nil {
 					t.Fatalf("candidate %d: Revert: %v", k, err)
@@ -220,6 +230,49 @@ func TestEvaluatorProtocol(t *testing.T) {
 			}
 			if tc.caches && hits == 0 {
 				t.Fatalf("no slot lookup hit")
+			}
+
+			// Unit adds: a rejection is at or above its limit and leaves
+			// the evaluator idle with its prices unchanged.
+			rejections := 0
+			unit := make([]model.Move, 1)
+			for post := range base {
+				if base[post]+1 > tc.inst.UpperBound(post) {
+					continue
+				}
+				unit[0] = model.Move{Post: post, Delta: 1}
+				want, err := ev.CostDelta(unit)
+				if err != nil {
+					t.Fatalf("unit add %d: CostDelta: %v", post, err)
+				}
+				if err := ev.Revert(); err != nil {
+					t.Fatal(err)
+				}
+				for _, limit := range []float64{math.Inf(1), want + 1, want, want * 0.999, 0} {
+					if !ev.PruneUnitAdd(post, limit) {
+						continue
+					}
+					if !tc.rejects {
+						t.Fatalf("unit add %d: rejected at limit %g by an evaluator that must not reject", post, limit)
+					}
+					if want < limit {
+						t.Fatalf("unit add %d: rejected at limit %g but costs %.17g", post, limit, want)
+					}
+					rejections++
+					got, err := ev.CostDelta(unit)
+					if err != nil {
+						t.Fatalf("unit add %d: CostDelta after a rejection: %v", post, err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("unit add %d: after a rejection CostDelta gives %.17g, want %.17g", post, got, want)
+					}
+					if err := ev.Revert(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if tc.rejects && rejections == 0 {
+				t.Fatalf("no unit add was rejected")
 			}
 
 			// Promotion: CommitCached against CostDelta+Commit on a twin.
