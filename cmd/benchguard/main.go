@@ -78,7 +78,7 @@ func (a *artifact) figure(path, figure string) (engine.Timing, error) {
 // check compares one figure's wall time and returns a human-readable
 // verdict plus whether the current run is within budget.
 func check(base, cur engine.Timing, tolerance, slack float64) (string, bool) {
-	budget := base.WallSeconds*(1+tolerance) + slack
+	budget := float64(base.WallSeconds*(1+tolerance)) + slack
 	msg := fmt.Sprintf("figure %s: baseline %.3fs, current %.3fs, budget %.3fs (+%.0f%% +%.1fs)",
 		base.Figure, base.WallSeconds, cur.WallSeconds, budget, 100*tolerance, slack)
 	return msg, cur.WallSeconds <= budget
@@ -116,7 +116,7 @@ func checkTotal(baseArt, curArt *artifact, tolerance, slack float64) (string, bo
 	if err := coverageMatch(baseArt, curArt); err != nil {
 		return "", false, err
 	}
-	budget := baseArt.TotalWallSeconds*(1+tolerance) + slack
+	budget := float64(baseArt.TotalWallSeconds*(1+tolerance)) + slack
 	msg := fmt.Sprintf("suite total: baseline %.3fs, current %.3fs, budget %.3fs (+%.0f%% +%.1fs, %d figures)",
 		baseArt.TotalWallSeconds, curArt.TotalWallSeconds, budget, 100*tolerance, slack, len(baseArt.Figures))
 	return msg, curArt.TotalWallSeconds <= budget, nil

@@ -234,7 +234,7 @@ func approxEqual(a, b float64) bool {
 	if b > a {
 		scale = b
 	}
-	return diff <= 1e-9+1e-9*scale
+	return diff <= 1e-9+float64(1e-9*scale)
 }
 
 func printSummary(w io.Writer, p *wrsn.Problem, sol *wrsn.Solution) {

@@ -97,14 +97,14 @@ func buildIsland(seed int64) *wrsn.Problem {
 	onIsland := func(pt wrsn.Point) bool {
 		dx := (pt.X - center.X) / (fieldSide * 0.48)
 		dy := (pt.Y - center.Y) / (fieldSide * 0.38)
-		inEllipse := dx*dx+dy*dy <= 1
+		inEllipse := float64(dx*dx)+float64(dy*dy) <= 1
 		lagoon := math.Hypot(pt.X-center.X, pt.Y-center.Y) < fieldSide*0.10
 		return inEllipse && !lagoon
 	}
 	for {
 		posts := make([]wrsn.Point, 0, numPosts)
 		for len(posts) < numPosts {
-			cand := wrsn.Point{X: rng.Float64() * fieldSide, Y: rng.Float64() * fieldSide}
+			cand := wrsn.Point{X: float64(rng.Float64() * fieldSide), Y: float64(rng.Float64() * fieldSide)}
 			if onIsland(cand) {
 				posts = append(posts, cand)
 			}

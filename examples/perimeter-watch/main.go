@@ -109,16 +109,18 @@ func buildFacility(seed int64) (*wrsn.Problem, []bool) {
 			angle := 2 * math.Pi * float64(i) / perimeterPosts
 			radius := fieldSide * 0.42
 			posts = append(posts, wrsn.Point{
-				X: center.X + radius*math.Cos(angle),
-				Y: center.Y + radius*math.Sin(angle),
+				X: center.X + float64(radius*math.Cos(angle)),
+				Y: center.Y + float64(radius*math.Sin(angle)),
 			})
 			rates = append(rates, 5)
 			isPerimeter = append(isPerimeter, true)
 		}
 		for i := 0; i < interiorPosts; i++ {
+			// float64(...) rounds each product on its own, so targets that
+			// fuse multiply-adds draw the same posts as amd64.
 			posts = append(posts, wrsn.Point{
-				X: center.X + (rng.Float64()-0.5)*fieldSide*0.5,
-				Y: center.Y + (rng.Float64()-0.5)*fieldSide*0.5,
+				X: center.X + float64((float64(rng.Float64())-0.5)*fieldSide*0.5),
+				Y: center.Y + float64((float64(rng.Float64())-0.5)*fieldSide*0.5),
 			})
 			rates = append(rates, 1)
 			isPerimeter = append(isPerimeter, false)

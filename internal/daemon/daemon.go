@@ -22,8 +22,9 @@
 //   - Scheduling: cache misses take a slot on an engine.Limiter worker
 //     pool (shareable, in principle, with in-process sweeps), waiting
 //     under the request's deadline.
-//   - Solve protections: per-request panic isolation (a panicking solver
-//     becomes a structured 500 while the daemon keeps serving),
+//   - Solve protections: every miss is solved under engine.Guard, the
+//     same guard as sweep cells: per-attempt panic isolation (a panicking
+//     solver becomes a structured 500 while the daemon keeps serving),
 //     engine.RetryPolicy with deterministic backoff for transient
 //     failures, and context.WithTimeoutCause deadlines whose causes
 //     surface in error responses.
@@ -290,6 +291,9 @@ type Server struct {
 	workCtx    context.Context
 	workCancel context.CancelCauseFunc
 
+	// guard runs every solve; its hook feeds /statz.
+	guard engine.Guard
+
 	draining atomic.Bool
 	stats    serverStats
 	start    time.Time
@@ -316,6 +320,7 @@ func NewServer(cfg Config) (*Server, error) {
 		kinds:    make(map[string]map[string]bool),
 		breakers: make(map[string]*breaker),
 	}
+	s.guard = engine.Guard{Retry: cfg.Retry, Chaos: cfg.Chaos, Hook: s.countAttempt}
 	s.workCtx, s.workCancel = context.WithCancelCause(context.Background())
 	for _, info := range engine.Infos() {
 		ks := make(map[string]bool, len(info.Kinds))
@@ -637,7 +642,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		ok := s.limiter.Acquire(ctx)
 		s.stats.queued.Add(-1)
 		if !ok {
-			s.writeSolveError(w, ctxCause(ctx))
+			s.writeSolveError(w, context.Cause(ctx))
 			return
 		}
 	}
@@ -645,7 +650,17 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.stats.inflight.Add(1)
 	defer s.stats.inflight.Add(-1)
 
-	res, retries, err := s.runSolve(ctx, req.Solver, fn, inst, key)
+	// The chaos key and the backoff seed both derive from the canonical
+	// key, so the same request always draws the same faults and delays.
+	chaosKey := engine.ChaosKey{A: int(uint32(key)), B: int(uint32(key >> 32))}
+	if s.cfg.Chaos != nil {
+		chaosKey.Scope = "wrsnd:" + req.Solver
+	}
+	var res *solver.Result
+	attempts, err := s.guard.Run(ctx, ctx, chaosKey, int64(key), func(ctx context.Context, _ int) (err error) {
+		res, err = fn(ctx, inst)
+		return err
+	})
 	if err != nil {
 		if solveFault(err) {
 			br.failure(s.cfg.now())
@@ -663,7 +678,18 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cache.put(key, sig, plan)
-	respond(plan, "miss", retries)
+	respond(plan, "miss", attempts-1)
+}
+
+// countAttempt is the guard's hook: it counts every retry that started
+// and every recovered panic, including those a later attempt absorbed.
+func (s *Server) countAttempt(attempt int, err error) {
+	if attempt > 1 {
+		s.stats.retries.Add(1)
+	}
+	if _, ok := err.(*engine.PanicError); ok {
+		s.stats.panicsRecovered.Add(1)
+	}
 }
 
 // solveFault reports whether a solve failure counts against the solver's
@@ -683,7 +709,7 @@ func solveFault(err error) bool {
 // writeSolveError classifies a terminal solve failure into a status,
 // class and counter.
 func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
-	var pe *PanicError
+	var pe *engine.PanicError
 	switch {
 	case errors.As(err, &pe):
 		s.stats.panics.Add(1)

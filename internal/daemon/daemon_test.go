@@ -530,10 +530,11 @@ func TestBreakerProbeCanceled(t *testing.T) {
 	}
 }
 
-// TestRunSolveExpiredContext pins the satellite-3 contract: a retrying
-// solve handed an already-expired (or expiring) context fails fast with
-// the context.WithTimeoutCause cause instead of burning its attempt
-// budget on a dead clock.
+// TestRunSolveExpiredContext drives the daemon's guard as a cache miss
+// does: a retrying solve handed an already-expired (or expiring) context
+// fails fast with the context.WithTimeoutCause cause instead of burning
+// its attempt budget on a dead clock, and the guard's hook counts every
+// retry that started and every panic a later attempt absorbed.
 func TestRunSolveExpiredContext(t *testing.T) {
 	s, err := NewServer(Config{Retry: engine.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
 	if err != nil {
@@ -546,10 +547,11 @@ func TestRunSolveExpiredContext(t *testing.T) {
 		name string
 		ctx  func(t *testing.T) context.Context
 		fn   func(calls *atomic.Int64) engine.SolveFunc
-		// wantCalls is the number of solver invocations; wantRetries the
-		// reported retry count.
+		// wantCalls is the number of solver invocations; wantRetries and
+		// wantPanics the retries and recovered panics the hook counted.
 		wantCalls   int64
-		wantRetries int
+		wantRetries int64
+		wantPanics  int64
 		check       func(t *testing.T, err error)
 	}{
 		{
@@ -666,16 +668,49 @@ func TestRunSolveExpiredContext(t *testing.T) {
 				}
 			},
 		},
+		{
+			name: "panic-absorbed-by-retry",
+			ctx: func(t *testing.T) context.Context {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				t.Cleanup(cancel)
+				return ctx
+			},
+			fn: func(calls *atomic.Int64) engine.SolveFunc {
+				return func(context.Context, model.Instance) (*solver.Result, error) {
+					if calls.Add(1) == 1 {
+						panic("solver bug on the first attempt")
+					}
+					return fakeResult(1), nil
+				}
+			},
+			wantCalls:   2,
+			wantRetries: 1,
+			wantPanics:  1,
+			check: func(t *testing.T, err error) {
+				if err != nil {
+					t.Fatalf("the retry should have absorbed the panic: %v", err)
+				}
+			},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var calls atomic.Int64
-			_, retries, err := s.runSolve(c.ctx(t), "test", c.fn(&calls), inst, 0xfeed)
+			fn := c.fn(&calls)
+			retries0, panics0 := s.stats.retries.Load(), s.stats.panicsRecovered.Load()
+			ctx := c.ctx(t)
+			_, err := s.guard.Run(ctx, ctx, engine.ChaosKey{}, 0xfeed, func(ctx context.Context, _ int) error {
+				_, err := fn(ctx, inst)
+				return err
+			})
 			if calls.Load() != c.wantCalls {
 				t.Errorf("solver invoked %d times, want %d", calls.Load(), c.wantCalls)
 			}
-			if retries != c.wantRetries {
+			if retries := s.stats.retries.Load() - retries0; retries != c.wantRetries {
 				t.Errorf("retries = %d, want %d", retries, c.wantRetries)
+			}
+			if panics := s.stats.panicsRecovered.Load() - panics0; panics != c.wantPanics {
+				t.Errorf("recovered panics = %d, want %d", panics, c.wantPanics)
 			}
 			c.check(t, err)
 		})

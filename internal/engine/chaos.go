@@ -11,18 +11,18 @@ import (
 // ErrChaos marks an error injected by a ChaosConfig.
 var ErrChaos = errors.New("chaos: injected error")
 
-// ChaosConfig injects deterministic faults into cell attempts — a test
-// and bench harness for the engine's own fault tolerance, never for
-// production sweeps. Each (cell, attempt) draws independent uniforms
-// from a platform-stable hash of (Seed, sweep ID, point, seed,
-// algorithm, attempt), so a given configuration always injects the same
-// faults into the same attempts, at any worker count: chaos runs are as
-// reproducible as clean ones.
+// ChaosConfig injects deterministic faults into the attempts a Guard
+// runs (sweep cells and wrsnd solves) — a test and bench harness for the
+// fault tolerance itself, never for production work. Each (ChaosKey,
+// attempt) draws independent uniforms from a platform-stable hash of
+// (Seed, key scope, the key's three coordinates, attempt), so a given
+// configuration always injects the same faults into the same attempts,
+// at any worker count: chaos runs are as reproducible as clean ones.
 //
-// Because the draw includes the attempt number, a cell that panics on
-// its first attempt usually succeeds on a retry — which is exactly what
-// the retry machinery is supposed to deliver, and what the chaos test
-// suite asserts.
+// Because the draw includes the attempt number, work that panics on its
+// first attempt usually succeeds on a retry — which is exactly what the
+// retry machinery is supposed to deliver, and what the chaos test suite
+// asserts.
 type ChaosConfig struct {
 	// Seed decorrelates chaos schedules between configurations.
 	Seed int64
@@ -55,27 +55,6 @@ type ChaosConfig struct {
 // enabled reports whether any cell-attempt fault kind is configured.
 func (c *ChaosConfig) enabled() bool {
 	return c != nil && (c.PanicFrac > 0 || c.ErrorFrac > 0 || (c.LatencyFrac > 0 && c.Latency > 0))
-}
-
-// Enabled reports whether any attempt-level fault kind is configured —
-// the exported form non-sweep consumers (the wrsnd planning daemon)
-// gate their injection calls on. Safe on a nil config.
-func (c *ChaosConfig) Enabled() bool { return c.enabled() }
-
-// Inject runs the configured attempt-level faults for one externally
-// identified attempt: scope names the injection site (a sweep ID for
-// cells, "wrsnd:<solver>" for daemon requests), a and b are arbitrary
-// coordinates identifying the work unit (the daemon passes the two
-// halves of the request's canonical cache key), and attempt numbers the
-// retry. Faults are drawn exactly like cell faults — deterministically
-// from (Seed, scope, a, b, attempt) — so a panic injected into attempt 1
-// is usually absorbed by attempt 2, which is what the retry machinery
-// under test is supposed to deliver.
-func (c *ChaosConfig) Inject(ctx context.Context, scope string, a, b, attempt int) error {
-	if !c.enabled() {
-		return nil
-	}
-	return c.inject(ctx, scope, a, b, 0, attempt)
 }
 
 // WorkerFault is the fate drawn for one shard lease execution.
@@ -123,7 +102,7 @@ func (c *ChaosConfig) uniform(salt uint64, sweep string, pi, si, ai, attempt int
 	return float64(x>>11) / float64(1<<53)
 }
 
-// inject runs the configured faults for one cell attempt: an optional
+// inject runs the configured faults for one guarded attempt: an optional
 // latency stall, then a panic or an injected error. It returns nil when
 // this attempt is left alone.
 func (c *ChaosConfig) inject(ctx context.Context, sweep string, pi, si, ai, attempt int) error {

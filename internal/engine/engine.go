@@ -24,10 +24,12 @@
 //
 // # Fault tolerance
 //
-// The runner survives its own workload. A panicking solver is recovered
-// on the worker and becomes a per-cell CellError instead of crashing the
+// The runner survives its own workload. Every cell runs under a Guard,
+// the guard wrsnd solves under too. A panicking solver is recovered on
+// the worker and becomes a per-cell CellError instead of crashing the
 // pool; failed and timed-out cells are retried under RunConfig.Retry
-// with deterministic exponential backoff; cells that stay failed after
+// with deterministic exponential backoff, except that a structurally
+// unsupported instance gets one attempt; cells that stay failed after
 // their attempt budget surface in Result.Failed (and as Run's returned
 // error) while every other cell still completes. With
 // RunConfig.Checkpoint, each completed cell is journaled to an
@@ -338,6 +340,7 @@ type runner struct {
 	excluded  []bool  // per cell index: outside cfg.Shard's range
 
 	journal *journal
+	guard   Guard
 	retried atomic.Int64
 
 	cells []cell
@@ -432,7 +435,10 @@ func Run(ctx context.Context, sw *Sweep, cfg RunConfig) (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	r := &runner{sw: sw, cfg: cfg}
+	r := &runner{sw: sw, cfg: cfg, guard: Guard{Retry: cfg.Retry, Chaos: cfg.Chaos, Timeout: cfg.CellTimeout}}
+	if cfg.CellTimeout > 0 {
+		r.guard.TimeoutCause = fmt.Errorf("cell deadline (%s) exceeded: %w", cfg.CellTimeout, context.DeadlineExceeded)
+	}
 	r.insts = make([][]*instSlot, len(sw.Points))
 	for pi := range sw.Points {
 		r.insts[pi] = make([]*instSlot, sw.pointSeeds(pi))
@@ -672,8 +678,8 @@ func (r *runner) instance(pi, si int) (*Instance, error) {
 	return slot.inst, slot.err
 }
 
-// runCell executes one cell — panic-isolated, chaos-injected, retried
-// under the retry policy — recording its values, duration and error.
+// runCell executes one cell under the runner's Guard, recording its
+// values, duration and error.
 func (r *runner) runCell(ctx, workCtx context.Context, idx int) {
 	c := r.cells[idx]
 	algo := &r.sw.Algorithms[c.algo]
@@ -688,18 +694,19 @@ func (r *runner) runCell(ctx, workCtx context.Context, idx int) {
 		})
 	}
 	cancelled := func(d time.Duration, attempt int) {
-		cause := context.Cause(ctx)
-		if cause == nil {
-			cause = ctx.Err()
-		}
 		finish(d, 0, attempt, fmt.Errorf("engine: %s: %s at point %d (x=%v) seed %d not run: %w",
-			r.sw.ID, algo.Label, c.point, r.sw.Points[c.point].X, c.seed, cause))
+			r.sw.ID, algo.Label, c.point, r.sw.Points[c.point].X, c.seed, context.Cause(ctx)))
 	}
-	terminal := func(d time.Duration, attempt int, panicked bool, stack string, err error) {
-		finish(d, 0, attempt, &CellError{
+	terminal := func(d time.Duration, attempt int, err error) {
+		ce := &CellError{
 			Sweep: r.sw.ID, Point: c.point, Seed: c.seed, X: r.sw.Points[c.point].X,
-			Algorithm: algo.Label, Attempts: attempt, Panicked: panicked, Stack: stack, Err: err,
-		})
+			Algorithm: algo.Label, Attempts: attempt, Err: err,
+		}
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			ce.Panicked, ce.Stack = true, pe.Stack
+		}
+		finish(d, 0, attempt, ce)
 	}
 
 	if ctx.Err() != nil {
@@ -720,95 +727,69 @@ func (r *runner) runCell(ctx, workCtx context.Context, idx int) {
 	inst, err := r.instance(c.point, c.seed)
 	if err != nil {
 		// Generators are deterministic: retrying cannot help.
-		terminal(0, 1, false, "", err)
+		terminal(0, 1, err)
 		return
 	}
 
-	attempts := r.cfg.Retry.attempts()
-	for attempt := 1; ; attempt++ {
-		if attempt > 1 {
-			r.retried.Add(1)
-			if !sleepCtx(workCtx, r.cfg.Retry.Backoff(attempt-1, inst.InstanceSeed)) {
-				cancelled(0, attempt-1)
-				return
+	var res CellResult
+	var d time.Duration
+	attempts, err := r.guard.Run(ctx, workCtx, ChaosKey{r.sw.ID, c.point, c.seed, c.algo}, inst.InstanceSeed,
+		func(actx context.Context, attempt int) error {
+			r.emit(Event{Kind: CellStarted, Sweep: r.sw.ID, Point: c.point, Seed: c.seed,
+				Algorithm: algo.Label, Total: len(r.cells), Attempt: attempt})
+			start := time.Now()
+			var err error
+			res, err = algo.Run(actx, inst)
+			d = time.Since(start)
+			if err != nil {
+				return err
 			}
-		}
-		r.emit(Event{Kind: CellStarted, Sweep: r.sw.ID, Point: c.point, Seed: c.seed,
-			Algorithm: algo.Label, Total: len(r.cells), Attempt: attempt})
-		res, d, panicked, stack, err := r.attempt(workCtx, inst, algo, c, attempt)
-		if err == nil {
+			if want := r.sw.wantValues(c.algo); len(res.Values) != want {
+				return fmt.Errorf("algorithm returned %d values, want %d", len(res.Values), want)
+			}
 			if r.journal != nil {
-				err = r.journalCell(c, res, d, attempt)
+				return r.journalCell(c, res, d, attempt)
 			}
-			if err == nil {
-				r.raw[c.algo][c.point][c.seed] = res.Values
-				r.durations[c.algo][c.point][c.seed] = d
-				r.evals[c.algo][c.point][c.seed] = res.Evaluations
-				finish(d, res.Evaluations, attempt, nil)
-				return
-			}
-		}
+			return nil
+		})
+	if attempts > 1 {
+		r.retried.Add(int64(attempts - 1))
+	}
+	switch {
+	case err == nil:
+		r.raw[c.algo][c.point][c.seed] = res.Values
+		r.durations[c.algo][c.point][c.seed] = d
+		r.evals[c.algo][c.point][c.seed] = res.Evaluations
+		finish(d, res.Evaluations, attempts, nil)
+	case ctx.Err() != nil:
 		// A failure observed while the sweep itself is shutting down is
-		// an interrupt, not a cell fault: don't retry, don't blame the
-		// cell.
-		if workCtx.Err() != nil {
-			cancelled(d, attempt)
-			return
-		}
-		if attempt >= attempts {
-			terminal(d, attempt, panicked, stack, err)
-			return
-		}
-		// Retrying; a drain that started mid-attempt stops further
-		// attempts at the sleepCtx above or the next workCtx check.
-		if ctx.Err() != nil {
-			cancelled(d, attempt)
-			return
-		}
+		// an interrupt, not a cell fault: don't blame the cell.
+		cancelled(d, attempts)
+	default:
+		terminal(d, attempts, err)
 	}
 }
 
-// attempt runs one panic-isolated attempt of a cell's algorithm,
-// injecting chaos and applying the per-cell timeout.
-func (r *runner) attempt(workCtx context.Context, inst *Instance, algo *Algorithm, c cell, attemptNo int) (res CellResult, d time.Duration, panicked bool, stack string, err error) {
-	cellCtx := workCtx
-	if r.cfg.CellTimeout > 0 {
-		cause := fmt.Errorf("cell deadline (%s) exceeded: %w", r.cfg.CellTimeout, context.DeadlineExceeded)
-		var cancelCell context.CancelFunc
-		cellCtx, cancelCell = context.WithTimeoutCause(workCtx, r.cfg.CellTimeout, cause)
-		defer cancelCell()
-	}
-	start := time.Now()
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				panicked = true
-				stack = string(debug.Stack())
-				err = fmt.Errorf("panic: %v", v)
-			}
-		}()
-		if r.cfg.Chaos.enabled() {
-			if cerr := r.cfg.Chaos.inject(cellCtx, r.sw.ID, c.point, c.seed, c.algo, attemptNo); cerr != nil {
-				err = cerr
-				return
-			}
-		}
-		res, err = algo.Run(cellCtx, inst)
-	}()
-	d = time.Since(start)
-	if err == nil {
-		if want := r.sw.wantValues(c.algo); len(res.Values) != want {
-			err = fmt.Errorf("algorithm returned %d values, want %d", len(res.Values), want)
-		}
-	}
-	// Surface the timeout *cause* ("cell deadline (30s) exceeded")
-	// instead of a bare context.DeadlineExceeded.
-	if err != nil && errors.Is(err, context.DeadlineExceeded) {
-		if cause := context.Cause(cellCtx); cause != nil && cause != err && errors.Is(cause, context.DeadlineExceeded) {
-			err = cause
-		}
-	}
-	return res, d, panicked, stack, err
+// PanicError is a panic recovered by a Guard: the attempt fails with it
+// while the process keeps running. It carries the panic value's message
+// and the panicking goroutine's stack.
+//
+// It is declared here rather than next to Guard in retry.go because the
+// first file of a package to import runtime/debug decides where the
+// linker places that package, and with it the 64-byte alignment of
+// internal/model's hot functions, which the benchmark's timings are
+// sensitive to.
+type PanicError struct {
+	Value string
+	Stack string
+}
+
+func (e *PanicError) Error() string { return "panic: " + e.Value }
+
+// newPanicError records a recovered panic value. Called from the
+// recovering deferred function, it captures the stack that panicked.
+func newPanicError(v any) *PanicError {
+	return &PanicError{Value: fmt.Sprint(v), Stack: string(debug.Stack())}
 }
 
 // journalCell appends one completed cell to the checkpoint journal.

@@ -6,7 +6,7 @@ import "time"
 type EventKind int
 
 const (
-	// CellStarted fires when a worker begins executing a cell.
+	// CellStarted fires when a cell's algorithm starts an attempt.
 	CellStarted EventKind = iota
 	// CellFinished fires when a cell's algorithm returns (or errors).
 	CellFinished
@@ -38,8 +38,9 @@ type Event struct {
 	// (CellFinished only; 0 when the algorithm does not report one).
 	Evaluations int64
 	// Attempt is which attempt this event belongs to (1 = first;
-	// CellStarted fires once per attempt, CellFinished reports the
-	// attempt that settled the cell).
+	// CellStarted fires once per attempt that reaches the algorithm,
+	// so not for one that injected chaos failed first; CellFinished
+	// reports how many attempts started).
 	Attempt int
 	// Resumed marks a cell restored from the checkpoint journal rather
 	// than executed (CellFinished only).

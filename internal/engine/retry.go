@@ -2,8 +2,11 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
+
+	"wrsn/internal/solver"
 )
 
 // RetryPolicy re-runs failed cells (solver errors, injected faults,
@@ -34,11 +37,6 @@ func (p RetryPolicy) attempts() int {
 	}
 	return p.MaxAttempts
 }
-
-// Attempts returns the effective attempt budget (always >= 1) — the
-// exported form external retry loops (the wrsnd planning daemon) drive
-// their attempt counters from.
-func (p RetryPolicy) Attempts() int { return p.attempts() }
 
 // Backoff returns the deterministic delay before retry number retry
 // (1 = first retry) of the cell whose instance seed is seed.
@@ -91,6 +89,107 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
+}
+
+// ChaosKey places one unit of guarded work in a ChaosConfig's schedule:
+// a scope naming the injection site and three coordinates. Sweep cells
+// use (sweep ID, point, seed, algorithm); wrsnd requests use
+// ("wrsnd:<solver>", the low and high halves of the request's canonical
+// key, 0).
+type ChaosKey struct {
+	Scope   string
+	A, B, C int
+}
+
+// Guard runs work under the protections every sweep cell and every wrsnd
+// solve share:
+//
+//   - a panic in an attempt is recovered as a *PanicError;
+//   - Chaos injects its faults into each attempt, drawn from the work's
+//     ChaosKey and the attempt number;
+//   - a failed attempt is retried under Retry, after its deterministic
+//     backoff;
+//   - a failure that unwraps context.DeadlineExceeded is reported as the
+//     attempt context's cause ("cell deadline (30s) exceeded") when that
+//     cause is a deadline too.
+//
+// The zero Guard makes one attempt with no chaos and no timeout.
+type Guard struct {
+	Retry RetryPolicy
+	Chaos *ChaosConfig
+	// Timeout bounds each attempt (0 = unbounded); its expiry cancels the
+	// attempt with TimeoutCause, which should wrap
+	// context.DeadlineExceeded.
+	Timeout      time.Duration
+	TimeoutCause error
+	// Hook, when set, observes every attempt that started: its number
+	// (1 = first) and its outcome, a recovered panic included.
+	Hook func(attempt int, err error)
+}
+
+// Run calls work until an attempt succeeds or the stop rule ends it, and
+// returns how many attempts started and the terminal error. No further
+// attempt starts when
+//
+//   - ctx is done: Run returns context.Cause(ctx), also when ctx ends
+//     during a backoff or the attempt that just failed;
+//   - the error unwraps solver.ErrUnsupportedInstance, which no retry can
+//     cure;
+//   - Retry's attempt budget is spent.
+//
+// Attempts run under runCtx. The sweep runner passes its work context,
+// which outlives ctx by the drain grace so that an attempt in flight can
+// still finish; other callers pass ctx twice. The seed jitters the
+// backoff, so a rerun of the same work replays the same delays.
+func (g *Guard) Run(ctx, runCtx context.Context, key ChaosKey, seed int64,
+	work func(ctx context.Context, attempt int) error) (int, error) {
+	budget := g.Retry.attempts()
+	for attempt := 1; ; attempt++ {
+		// An attempt counts once it starts, after its backoff (0 before
+		// the first): an interrupted backoff leaves no retry behind.
+		if !sleepCtx(ctx, g.Retry.Backoff(attempt-1, seed)) {
+			return attempt - 1, context.Cause(ctx)
+		}
+		err := g.attempt(runCtx, key, attempt, work)
+		if g.Hook != nil {
+			g.Hook(attempt, err)
+		}
+		switch {
+		case err == nil:
+			return attempt, nil
+		case ctx.Err() != nil:
+			return attempt, context.Cause(ctx)
+		case attempt >= budget || errors.Is(err, solver.ErrUnsupportedInstance):
+			return attempt, err
+		}
+	}
+}
+
+// attempt runs one panic-isolated, chaos-injected, time-bounded attempt.
+func (g *Guard) attempt(ctx context.Context, key ChaosKey, n int,
+	work func(ctx context.Context, attempt int) error) (err error) {
+	if g.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, g.Timeout, g.TimeoutCause)
+		defer cancel()
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			err = newPanicError(v)
+		}
+	}()
+	if g.Chaos.enabled() {
+		err = g.Chaos.inject(ctx, key.Scope, key.A, key.B, key.C, n)
+	}
+	if err == nil {
+		err = work(ctx, n)
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		if cause := context.Cause(ctx); errors.Is(cause, context.DeadlineExceeded) {
+			err = cause
+		}
+	}
+	return err
 }
 
 // CellError is one cell's terminal failure: the cell's grid coordinates,

@@ -32,18 +32,11 @@ type relayScratch struct {
 	dist  []float64
 	ids   []int32 // unsettled posts
 
-	// chords holds every post's chord per (capEach, budget), priced at
-	// the limit the slot is stamped with. byBudget[budget][capEach] is
-	// the same slot, which calls read without hashing; the map is
-	// written once per new slot, and TestRelayBoundChordTable reads the
-	// table through it. Rows grow on demand, to whatever budget a caller
-	// passes.
-	chords   map[relayKey]*relaySlot
+	// byBudget[budget][capEach] holds every post's chord for (capEach,
+	// budget), priced at the limit the slot is stamped with. Rows grow on
+	// demand, to whatever budget a caller passes.
 	byBudget [][]*relaySlot
 }
-
-// relayKey names a chord-table slot.
-type relayKey struct{ capEach, budget int }
 
 // relaySlot is one (capEach, budget) slot of the chord table: the chord
 // of every post, were it undecided, at the limit whose bits are stamped.
@@ -58,59 +51,6 @@ type relaySlot struct {
 type relayChord struct {
 	s, rest, mag float64
 	outright     bool
-}
-
-// relay returns the evaluator's relay-bound scratch, building it on
-// first use.
-func (ev *IncrementalEvaluator) relay() (*relayScratch, error) {
-	if rb := ev.rb; rb != nil {
-		return rb, nil
-	}
-	n, c, p := ev.n, ev.c, ev.p
-	rb := &relayScratch{
-		scale:  float64(float64(n+2) * relayMarginScale),
-		hasOH:  p.HasOverhead(),
-		oh:     make([]float64, n),
-		minTx:  make([]float64, n),
-		lo:     make([]float64, n),
-		ecap:   make([]float64, n),
-		inv:    make([]float64, p.Nodes+1),
-		beta:   make([]float64, n),
-		rxb:    make([]float64, n),
-		hop:    make([]float64, n),
-		dist:   make([]float64, n),
-		ids:    make([]int32, n),
-		chords: make(map[relayKey]*relaySlot),
-	}
-	// A post u relays at most the whole rate R through its parent edge,
-	// so in every tree E_u = tx·F_u + rx·(F_u − r_u) ≤ R·maxTx + rx·(R − r_u).
-	total := ev.rateTotal
-	for u := 0; u < n; u++ {
-		if rb.hasOH {
-			rb.oh[u] = p.Overhead(u)
-		}
-		minTx, maxTx := inf, 0.0
-		for os := c.outOff[u]; os < c.outOff[u+1]; os++ {
-			minTx = min(minTx, c.outTx[os])
-			maxTx = max(maxTx, c.outTx[os])
-		}
-		if minTx < inf {
-			rb.minTx[u] = minTx
-			rb.lo[u] = float64(float64(ev.rates[u]*minTx) * (1 - rb.scale))
-		}
-		ecap := float64(total*maxTx) + float64(ev.rx*(total-ev.rates[u]))
-		rb.ecap[u] = float64(ecap * (1 + rb.scale))
-	}
-	rb.inv[0] = inf
-	for x := 1; x < len(rb.inv); x++ {
-		e, err := ev.netEff(x)
-		if err != nil {
-			return nil, err
-		}
-		rb.inv[x] = 1 / e
-	}
-	ev.rb = rb
-	return rb, nil
 }
 
 // slot returns the chords for (capEach, budget) at limit, pricing them
@@ -317,6 +257,58 @@ func (ev *IncrementalEvaluator) PruneByRelayBound(counts []int, capEach, budget 
 	return false, nil
 }
 
+// relay returns the evaluator's relay-bound scratch, building it on
+// first use.
+func (ev *IncrementalEvaluator) relay() (*relayScratch, error) {
+	if rb := ev.rb; rb != nil {
+		return rb, nil
+	}
+	n, c, p := ev.n, ev.c, ev.p
+	rb := &relayScratch{
+		scale: float64(float64(n+2) * relayMarginScale),
+		hasOH: p.HasOverhead(),
+		oh:    make([]float64, n),
+		minTx: make([]float64, n),
+		lo:    make([]float64, n),
+		ecap:  make([]float64, n),
+		inv:   make([]float64, p.Nodes+1),
+		beta:  make([]float64, n),
+		rxb:   make([]float64, n),
+		hop:   make([]float64, n),
+		dist:  make([]float64, n),
+		ids:   make([]int32, n),
+	}
+	// A post u relays at most the whole rate R through its parent edge,
+	// so in every tree E_u = tx·F_u + rx·(F_u − r_u) ≤ R·maxTx + rx·(R − r_u).
+	total := ev.rateTotal
+	for u := 0; u < n; u++ {
+		if rb.hasOH {
+			rb.oh[u] = p.Overhead(u)
+		}
+		minTx, maxTx := inf, 0.0
+		for os := c.outOff[u]; os < c.outOff[u+1]; os++ {
+			minTx = min(minTx, c.outTx[os])
+			maxTx = max(maxTx, c.outTx[os])
+		}
+		if minTx < inf {
+			rb.minTx[u] = minTx
+			rb.lo[u] = float64(float64(ev.rates[u]*minTx) * (1 - rb.scale))
+		}
+		ecap := float64(total*maxTx) + float64(ev.rx*(total-ev.rates[u]))
+		rb.ecap[u] = float64(ecap * (1 + rb.scale))
+	}
+	rb.inv[0] = inf
+	for x := 1; x < len(rb.inv); x++ {
+		e, err := ev.netEff(x)
+		if err != nil {
+			return nil, err
+		}
+		rb.inv[x] = 1 / e
+	}
+	ev.rb = rb
+	return rb, nil
+}
+
 // newSlot adds an unpriced slot for (capEach, budget) to the chord
 // table, growing byBudget a row per budget up to budget. It runs once
 // per slot, so it stays out of line and slot's lookup stays small. A
@@ -326,7 +318,6 @@ func (ev *IncrementalEvaluator) PruneByRelayBound(counts []int, capEach, budget 
 //go:noinline
 func (rb *relayScratch) newSlot(capEach, budget int) *relaySlot {
 	sl := &relaySlot{c: make([]relayChord, len(rb.lo))}
-	rb.chords[relayKey{capEach, budget}] = sl
 	if budget < 0 {
 		return sl
 	}

@@ -284,7 +284,8 @@ func TestRelayBoundChordTable(t *testing.T) {
 			if _, err := inc.PruneByRelayBound(counts, capEach, budget, limit); err != nil {
 				t.Fatal(err)
 			}
-			sl := inc.rb.chords[relayKey{capEach, budget}]
+			// budget >= undecided >= 2, so byBudget indexes the slot.
+			sl := inc.rb.byBudget[budget][capEach]
 			if sl == nil || sl.limit != math.Float64bits(limit) {
 				t.Fatalf("call %d: no slot priced at limit %v for (%d, %d)", call, limit, capEach, budget)
 			}
