@@ -44,13 +44,11 @@ const (
 // span no mutation reads another's state), integer counters advance by
 // per-round constants, and every
 // round whose behaviour could differ — an event round — is executed by
-// the very same step() the exact core uses. Stochastic hazards are the
-// one intentional divergence: the event core converts per-round
-// Bernoulli draws into sampled next-event times (geometric inversion,
-// fault.go), which preserves the distribution and per-seed determinism
-// but not the exact-core realisation. Configurations without stochastic
-// knobs (fault-free or scheduled faults only) never touch the RNG in
-// either core and match bit-for-bit.
+// the very same step() the exact core uses. Stochastic hazards are
+// sampled onset rounds in the fault engine's heap (fault.go), which both
+// cores fire from step() and which draw the RNG only there, so the cores
+// share one realisation per seed. Only lossy links, which draw per
+// report per round, keep a configuration off the event core.
 //
 // Span lengths come from conservative horizons. The starvation bound
 // uses that an operational post pays exactly `need` per round out of its
@@ -60,10 +58,10 @@ const (
 // just over the charger's target absorb sum_j floor((e_j - F)/need)
 // payments before any node below F can be the max — and only then can a
 // payment push a node under the target (idleHorizon has the proof).
-// Every bound keeps two rounds of slack for float drift (ulp-scale per
-// round, many orders below `need`). Charger travel uses dist/speed with
-// the same slack and additionally detects the arrival branch during
-// replay, ending the span early. An underestimated horizon only ends a
+// Both bounds keep two rounds of slack for float drift (ulp-scale per
+// round, many orders below `need`). Charger travel needs no bound: the
+// replay runs the stepper's own travel arithmetic and ends the span on
+// the round a charger arrives. An underestimated horizon only ends a
 // span sooner; the event round always runs through step().
 //
 // Cost: the horizons that read no battery (repair, fault onset, charger
@@ -325,9 +323,10 @@ func (s *Simulator) spanLength(l int) int {
 
 // chargerHorizon returns how many reduced rounds this charger's
 // behaviour is certified constant without reading the span snapshot:
-// counting down-rounds or travelling without arriving. It returns 0 for
-// a charger that must run through step(), and math.MaxInt for an idle
-// one, whose bound spanLength takes from the snapshot.
+// counting down-rounds. It returns 0 for a charger that must run through
+// step(), and math.MaxInt for an idle one, whose bound spanLength takes
+// from the snapshot, and for a travelling one, whose arrival travel()
+// detects.
 func (s *Simulator) chargerHorizon(c *chargerState, r0 int) int {
 	if c.downUntil > r0 {
 		return c.downUntil - r0
@@ -345,10 +344,9 @@ func (s *Simulator) chargerHorizon(c *chargerState, r0 int) int {
 	if dist <= 1e-9 {
 		return 0 // parked: every charging round is an event round
 	}
-	// Travelling covers exactly SpeedPerRound per round; the target
-	// stays claimed and (monotonically) not done. Arrival is an event;
-	// the replay additionally detects it defensively.
-	return max(int(dist/c.cfg.SpeedPerRound)-2, 0)
+	// Travelling: the target stays claimed and (monotonically) not done,
+	// and travel() ends the span on the arrival round.
+	return math.MaxInt
 }
 
 // idleHorizon bounds how long every unclaimed usable post stays at or
@@ -407,11 +405,11 @@ func (s *Simulator) idleHorizon(c *chargerState) int {
 }
 
 // fastForward replays up to l reduced rounds and returns how many it
-// executed (fewer only when a charger arrived early and the span had to
-// end). Each reduced round applies exactly the state mutations step()
-// would: per-round counters, one rotation payment per operational post
-// and charger down-counting or travel. Charger travel reads no battery,
-// so it runs first and fixes the round count; the rotation then replays
+// executed (fewer when a charger arrived and the span had to end). Each
+// reduced round applies exactly the state mutations step() would:
+// per-round counters, one rotation payment per operational post and
+// charger down-counting or travel. Charger travel reads no battery, so
+// it runs first and fixes the round count; the rotation then replays
 // post by post. With a tracer attached the span advances one round at a
 // time, so Observe sees every round's state.
 func (s *Simulator) fastForward(l int) int {
@@ -432,11 +430,10 @@ func (s *Simulator) fastForward(l int) int {
 }
 
 // travel advances every charger through up to l reduced rounds, round by
-// round in fleet order (the stepper's order of ChargerDistance sums). It
-// returns the rounds taken and whether a travelling charger arrived on
-// the last of them: the conservative travel bound ran out before the
-// horizon did, so the charger arrives exactly as the stepper would and
-// the span ends there (the next round charges, which only step() may do).
+// round in fleet order (the stepper's order of ChargerDistance sums), with
+// step()'s own travel arithmetic. It returns the rounds taken and whether
+// a travelling charger arrived on the last of them: the span ends there,
+// because the next round charges, which only step() may do.
 func (s *Simulator) travel(l int) (int, bool) {
 	if len(s.chargers) == 0 {
 		return l, false
@@ -464,6 +461,11 @@ func (s *Simulator) travel(l int) (int, bool) {
 			}
 			c.pos = geom.Lerp(c.pos, dest, step/dist)
 			s.metrics.ChargerDistance += step
+			// step() parks a charger within 1e-9 m of its target, so
+			// stopping that close is an arrival too.
+			if geom.Dist(c.pos, dest) <= 1e-9 {
+				arrived = true
+			}
 		}
 		if arrived {
 			return k, true

@@ -10,16 +10,15 @@ import (
 	"runtime"
 	"testing"
 
+	"wrsn/internal/geom"
 	"wrsn/internal/model"
 )
 
 // The event-driven core's contract (event.go): for every configuration
-// without per-round randomness in the reporting path — fault-free or
-// scheduled-fault runs — it must be bit-identical to the per-round
-// reference stepper in every metric, every battery, every charger and
-// every trace row. Stochastic configurations sample next-event times
-// instead of per-round Bernoulli draws, so they match in distribution,
-// not realisation. These tests enforce both halves.
+// without per-round randomness in the reporting path — fault-free,
+// scheduled or stochastic faults — it must be bit-identical to the
+// per-round reference stepper in every metric, every battery, every
+// charger and every trace row. These tests enforce it.
 
 // cloneConfig deep-copies the pointer-valued sub-configs so two runs of
 // the same scenario never share mutable state.
@@ -198,6 +197,33 @@ func TestEventCoreBitIdenticalHealthy(t *testing.T) {
 	}, 3000)
 }
 
+// TestEventCoreChargerStopsShort sets the charger's speed so that its
+// fifth step from the BS stops 5e-10 m short of its first target, inside
+// step()'s 1e-9 m parking tolerance: the stepper charges from there
+// without covering the rest, and the event core's travel replay must end
+// the span at that stop instead of carrying the charger onto the post.
+func TestEventCoreChargerStopsShort(t *testing.T) {
+	p, sol := testNetwork(t, 11, 250, 15, 60)
+	dest := p.Posts[0] // round-robin's first pick: every post starts needy
+	cfg := Config{
+		Problem:  p,
+		Solution: sol,
+		Charger: &ChargerConfig{
+			PowerPerRound: 5e5,
+			SpeedPerRound: (geom.Dist(p.BS, dest) - 5e-10) / 5,
+			Policy:        PolicyRoundRobin,
+		},
+		InitialChargeFrac: 0.4,
+		Seed:              1,
+	}
+	s, _ := runUntraced(t, cfg, StepperExact, 5)
+	c := s.chargers[0]
+	if d := geom.Dist(c.pos, dest); c.target != 0 || c.pos == dest || d > 1e-9 {
+		t.Fatalf("after 5 rounds the charger targets %d at %v, %g m from post 0; want a stop short of it within 1e-9 m", c.target, c.pos, d)
+	}
+	diffRun(t, "stops-short", cfg, 300)
+}
+
 func TestEventCoreBitIdenticalDepletion(t *testing.T) {
 	// No charger: the network drains, posts starve one by one, and the
 	// run crosses full depletion — every starvation onset must land on
@@ -259,14 +285,15 @@ func TestEventCoreBitIdenticalScheduledFaults(t *testing.T) {
 }
 
 // TestEventCoreBitIdenticalProperty fuzzes scenario shapes: random
-// topologies, charger policies, fleets and scheduled fault mixes, each
-// checked for bit-identity.
+// topologies, charger policies, fleets and scheduled fault mixes, half of
+// them with every stochastic hazard and repair on top, each checked for
+// bit-identity.
 func TestEventCoreBitIdenticalProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
 	policies := []ChargerPolicy{PolicyUrgency, PolicyRoundRobin, PolicyTour}
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		nPosts := 8 + rng.Intn(7)
 		p, sol := testNetwork(t, int64(40+trial), 150+rng.Float64()*100, nPosts, 4*nPosts)
@@ -305,22 +332,34 @@ func TestEventCoreBitIdenticalProperty(t *testing.T) {
 				cfg.Repair = &RepairConfig{LatencyRounds: rng.Intn(20)}
 			}
 		}
-		diffRun(t, fmt.Sprintf("property-%d", trial), cfg, 800+rng.Intn(800))
+		rounds := 800 + rng.Intn(800)
+		if rng.Intn(2) == 0 {
+			// Every stochastic hazard on top of the schedule, with repair.
+			fc := FaultConfig{
+				Schedule:            sched,
+				NodeFailurePerRound: rng.Float64() * 5e-4,
+				TransientPerRound:   rng.Float64() * 1e-3,
+				TransientMeanRounds: 10 + rng.Float64()*90,
+				PostOutagePerRound:  rng.Float64() * 2e-3,
+				OutageRadius:        rng.Float64() * 50,
+			}
+			if cfg.Charger != nil {
+				fc.ChargerFailurePerRound = rng.Float64() * 2e-3
+				fc.ChargerRepairRounds = 1 + rng.Intn(200)
+			}
+			cfg.Faults = &fc
+			cfg.Repair = &RepairConfig{LatencyRounds: rng.Intn(20)}
+		}
+		diffRun(t, fmt.Sprintf("property-%d", trial), cfg, rounds)
 	}
 }
 
-// TestEventCoreStochasticDistribution checks that next-event sampling
-// reproduces the per-round Bernoulli processes in distribution: mean
-// fault counts and delivery across seeds agree between the cores.
-func TestEventCoreStochasticDistribution(t *testing.T) {
+// TestEventCoreBitIdenticalStochastic runs every stochastic hazard at
+// once — permanent failures, transients, correlated outages and charger
+// breakdowns, with online repair — over many seeds: both cores fire the
+// same sampled onsets, so every seed must match bit for bit.
+func TestEventCoreBitIdenticalStochastic(t *testing.T) {
 	p, sol := testNetwork(t, 14, 250, 15, 60)
-	// Rates are set high enough that every process fires often (totals in
-	// the hundreds across seeds), so the relative tolerances below sit at
-	// 3+ standard deviations of the Binomial sampling noise.
-	const (
-		seeds  = 150
-		rounds = 1500
-	)
 	cfg := Config{
 		Problem:  p,
 		Solution: sol,
@@ -337,53 +376,40 @@ func TestEventCoreStochasticDistribution(t *testing.T) {
 		},
 		Repair: &RepairConfig{LatencyRounds: 10},
 	}
-	var sums [2]struct {
-		failures, transients, outages, breakdowns, delivery float64
-	}
-	for ki, kind := range []StepperKind{StepperExact, StepperEvent} {
-		for seed := int64(0); seed < seeds; seed++ {
-			c := cloneConfig(cfg)
-			c.Stepper = kind
-			c.Seed = seed
-			s, err := New(c)
-			if err != nil {
-				t.Fatalf("New(%q, seed %d): %v", kind, seed, err)
-			}
-			m, err := s.Run(rounds)
-			if err != nil {
-				t.Fatalf("Run(%q, seed %d): %v", kind, seed, err)
-			}
-			sums[ki].failures += float64(m.NodeFailures)
-			sums[ki].transients += float64(m.TransientFaults)
-			sums[ki].outages += float64(m.CorrelatedOutages)
-			sums[ki].breakdowns += float64(m.ChargerBreakdowns)
-			sums[ki].delivery += m.DeliveryRatio()
-		}
-	}
-	relClose := func(name string, a, b, tol float64) {
-		t.Helper()
-		mean := (a + b) / 2
-		if mean == 0 {
-			t.Fatalf("%s: both cores produced zero events — test has no power", name)
-		}
-		if math.Abs(a-b) > tol*mean {
-			t.Errorf("%s diverges beyond %.0f%%: exact mean %.2f, event mean %.2f",
-				name, 100*tol, a/seeds, b/seeds)
-		}
-	}
-	relClose("node failures", sums[0].failures, sums[1].failures, 0.15)
-	relClose("transient faults", sums[0].transients, sums[1].transients, 0.15)
-	relClose("correlated outages", sums[0].outages, sums[1].outages, 0.25)
-	relClose("charger breakdowns", sums[0].breakdowns, sums[1].breakdowns, 0.25)
-	if d := math.Abs(sums[0].delivery-sums[1].delivery) / seeds; d > 0.04 {
-		t.Errorf("mean delivery diverges by %.4f: exact %.4f, event %.4f",
-			d, sums[0].delivery/seeds, sums[1].delivery/seeds)
+	for seed := int64(0); seed < 20; seed++ {
+		cfg.Seed = seed
+		diffRun(t, fmt.Sprintf("all-hazards/seed=%d", seed), cfg, 1500)
 	}
 }
 
+// lifetimeConfig is a lifetime-shaped run: 100 posts, six nodes per post
+// on average, a slow charger, stochastic failures and transients, and
+// online repair with a 10-round latency.
+func lifetimeConfig(t *testing.T) Config {
+	t.Helper()
+	p, sol := testNetwork(t, 20, 500, 100, 600)
+	return Config{
+		Problem:  p,
+		Solution: sol,
+		Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25},
+		Faults: &FaultConfig{
+			NodeFailurePerRound: 1e-4,
+			TransientPerRound:   1e-4,
+			TransientMeanRounds: 50,
+		},
+		Repair: &RepairConfig{LatencyRounds: 10},
+		Seed:   1,
+	}
+}
+
+// TestEventCoreBitIdenticalLifetime checks the lifetime shape over three
+// battery lifetimes with no tracer, the way lifetime studies run it.
+func TestEventCoreBitIdenticalLifetime(t *testing.T) {
+	diffRunUntraced(t, "lifetime", lifetimeConfig(t), 3*DefaultBatteryRounds)
+}
+
 // TestEventCoreCertainFaultsFire pins the geometric inversion's p=1 edge
-// case: a certain per-round hazard must fire on round 1, exactly like
-// the per-round draw.
+// case: a certain per-round hazard must fire on round 1.
 func TestEventCoreCertainFaultsFire(t *testing.T) {
 	p, sol := testNetwork(t, 15, 200, 8, 32)
 	for _, kind := range []StepperKind{StepperExact, StepperEvent} {
@@ -663,26 +689,14 @@ func TestIdleHorizonRotationBound(t *testing.T) {
 	})
 }
 
-// TestEventCoreSpanShare pins how much of a lifetime-shaped run (100
-// posts, six nodes per post on average, a slow charger, stochastic
-// failures and online repair, three battery lifetimes) the event core
-// fast-forwards. With the idle-charger horizon bounded by the weakest
-// node alone, 61% of rounds ran through step().
+// TestEventCoreSpanShare pins how much of a lifetime-shaped run (three
+// battery lifetimes) the event core fast-forwards. With the idle-charger
+// horizon bounded by the weakest node alone, 61% of rounds ran through
+// step().
 func TestEventCoreSpanShare(t *testing.T) {
-	p, sol := testNetwork(t, 20, 500, 100, 600)
-	s, err := New(Config{
-		Problem:  p,
-		Solution: sol,
-		Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25},
-		Faults: &FaultConfig{
-			NodeFailurePerRound: 1e-4,
-			TransientPerRound:   1e-4,
-			TransientMeanRounds: 50,
-		},
-		Repair:  &RepairConfig{LatencyRounds: 10},
-		Seed:    1,
-		Stepper: StepperEvent,
-	})
+	cfg := lifetimeConfig(t)
+	cfg.Stepper = StepperEvent
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,31 +715,21 @@ func TestEventCoreSpanShare(t *testing.T) {
 }
 
 // TestEventCoreRealisationPin pins one stochastic lifetime-shaped run
-// (TestEventCoreSpanShare's configuration) to the metrics, core counters
-// and battery bits the event core produced before its replay was made
-// post-major and its horizons were folded into the span snapshot. Those
-// changes must alter no realisation: the same spans, the same RNG draws
-// and the same float operations. amd64 only: other architectures still
-// fuse multiply-adds in packages the run uses (charging, geom) and may
-// round differently.
+// (lifetimeConfig) to the metrics and battery bits the event core
+// produced before its replay was made post-major and its horizons were
+// folded into the span snapshot. Those changes must alter no
+// realisation: the same RNG draws and the same float operations. The
+// core counters are pinned too; they move only when a horizon does.
+// amd64 only: math.Hypot
+// and math.Log, which the run's geometry and fault sampling use, have
+// amd64 assembly and may round differently elsewhere.
 func TestEventCoreRealisationPin(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("pinned on amd64, running on %s", runtime.GOARCH)
 	}
-	p, sol := testNetwork(t, 20, 500, 100, 600)
-	s, err := New(Config{
-		Problem:  p,
-		Solution: sol,
-		Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25},
-		Faults: &FaultConfig{
-			NodeFailurePerRound: 1e-4,
-			TransientPerRound:   1e-4,
-			TransientMeanRounds: 50,
-		},
-		Repair:  &RepairConfig{LatencyRounds: 10},
-		Seed:    1,
-		Stepper: StepperEvent,
-	})
+	cfg := lifetimeConfig(t)
+	cfg.Stepper = StepperEvent
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,7 +763,7 @@ func TestEventCoreRealisationPin(t *testing.T) {
 	if *m != want {
 		t.Errorf("metrics:\n got %+v\nwant %+v", *m, want)
 	}
-	if got, want := s.CoreStats(), (CoreStats{Spans: 775, ReducedRounds: 4857, EventRounds: 1143}); got != want {
+	if got, want := s.CoreStats(), (CoreStats{Spans: 815, ReducedRounds: 5065, EventRounds: 935}); got != want {
 		t.Errorf("core stats: got %+v, want %+v", got, want)
 	}
 	h := fnv.New64a()

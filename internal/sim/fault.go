@@ -157,27 +157,24 @@ func (fc *FaultConfig) active() bool {
 }
 
 // faultEngine drives fault injection for one run: a cursor over the
-// sorted schedule plus the stochastic knobs. Under the event core
-// (sampled == true) the per-round Bernoulli draws are replaced by
-// sampled next-event times in a pending min-heap, so fault-free spans
+// sorted schedule plus the stochastic hazards. Each hazard is a per-round
+// Bernoulli process, realised by sampling its next onset round
+// (geometric inversion) into a pending min-heap, so fault-free rounds
 // carry no per-round cost and the event horizon can peek at the next
-// onset. The sampled realisation is distribution-identical to the
-// per-round draws (geometric inversion) and deterministic per seed, but
-// consumes the RNG stream differently, so it matches the exact core
-// statistically rather than draw-for-draw.
+// onset. Both cores fire the same heap through the same step() and draw
+// the same RNG stream, so a seed yields one realisation whichever core
+// runs it.
 type faultEngine struct {
 	cfg    FaultConfig
 	sorted FaultSchedule // schedule sorted by round (stable)
 	cursor int
 
-	sampled bool
 	pending []pendingFault // min-heap ordered by pendingFault.before
 }
 
-// Same-round sampled events must fire in the per-round stepper's sweep
-// order — permanents, then transients, then the outage, then chargers,
-// each in ascending (post, node) order — so the heap orders by
-// (round, rank, post, node).
+// Same-round onsets fire in a fixed order — permanents, then transients,
+// then the outage, then chargers, each in ascending (post, node) order —
+// so the heap orders by (round, rank, post, node).
 const (
 	rankPermanent = iota
 	rankTransient
@@ -258,35 +255,44 @@ func (e *faultEngine) geo(s *Simulator, p float64) int {
 	return 1 + int(g)
 }
 
-// initSampled switches the engine to next-event sampling and seeds the
-// heap with every hazard's first onset. The draw order is fixed —
-// permanents in (post, node) order, then transients, the outage
+// newFaultEngine applies the config's defaults, sorts the schedule and
+// seeds the heap with every hazard's first onset. The draw order is fixed
+// — permanents in (post, node) order, then transients, the outage
 // process, then chargers — so a given seed always yields the same
-// realisation.
-func (e *faultEngine) initSampled(s *Simulator) {
-	e.sampled = true
-	if p := e.cfg.NodeFailurePerRound; p > 0 {
+// realisation. The simulator's posts and chargers must exist.
+func newFaultEngine(s *Simulator, cfg FaultConfig) *faultEngine {
+	if cfg.TransientMeanRounds == 0 {
+		cfg.TransientMeanRounds = 50
+	}
+	if cfg.ChargerRepairRounds == 0 {
+		cfg.ChargerRepairRounds = 200
+	}
+	sorted := append(FaultSchedule(nil), cfg.Schedule...)
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Round < sorted[b].Round })
+	e := &faultEngine{cfg: cfg, sorted: sorted}
+	if p := cfg.NodeFailurePerRound; p > 0 {
 		for i := range s.posts {
 			for j := range s.posts[i].Nodes {
 				e.push(pendingFault{e.geo(s, p), rankPermanent, i, j})
 			}
 		}
 	}
-	if p := e.cfg.TransientPerRound; p > 0 {
+	if p := cfg.TransientPerRound; p > 0 {
 		for i := range s.posts {
 			for j := range s.posts[i].Nodes {
 				e.push(pendingFault{e.geo(s, p), rankTransient, i, j})
 			}
 		}
 	}
-	if p := e.cfg.PostOutagePerRound; p > 0 {
+	if p := cfg.PostOutagePerRound; p > 0 {
 		e.push(pendingFault{e.geo(s, p), rankOutage, -1, -1})
 	}
-	if p := e.cfg.ChargerFailurePerRound; p > 0 {
+	if p := cfg.ChargerFailurePerRound; p > 0 {
 		for idx := range s.chargers {
 			e.push(pendingFault{e.geo(s, p), rankCharger, idx, -1})
 		}
 	}
+	return e
 }
 
 // nextEventRound returns the earliest round at which the engine will
@@ -302,13 +308,17 @@ func (e *faultEngine) nextEventRound() int {
 	return next
 }
 
-// stepSampled fires every sampled onset due at `round` and reschedules
-// the recurring hazards. The per-round sweeps' suppression rules are
-// reproduced exactly: permanents never re-fire on dead nodes (the stale
-// event is discarded), transients are suppressed while the node is
-// already down and resume drawing after DownUntil, and chargers resume
-// drawing after their repair completes.
-func (e *faultEngine) stepSampled(s *Simulator, round int) {
+// step fires every fault due at the given round: scheduled events first,
+// then the sampled onsets in heap order, rescheduling the recurring
+// hazards. Permanents never re-fire on dead nodes (the stale event is
+// discarded), transients are suppressed while the node is already down
+// and resume drawing after DownUntil, and chargers resume drawing after
+// their repair completes — the Bernoulli processes' own suppression rules.
+func (e *faultEngine) step(s *Simulator, round int) {
+	for e.cursor < len(e.sorted) && e.sorted[e.cursor].Round <= round {
+		e.apply(s, round, e.sorted[e.cursor])
+		e.cursor++
+	}
 	for len(e.pending) > 0 && e.pending[0].round <= round {
 		ev := e.pop()
 		switch ev.rank {
@@ -340,61 +350,6 @@ func (e *faultEngine) stepSampled(s *Simulator, round int) {
 				next = ch.downUntil
 			}
 			e.push(pendingFault{next + e.geo(s, e.cfg.ChargerFailurePerRound), rankCharger, ev.post, -1})
-		}
-	}
-}
-
-func newFaultEngine(cfg FaultConfig) *faultEngine {
-	if cfg.TransientMeanRounds == 0 {
-		cfg.TransientMeanRounds = 50
-	}
-	if cfg.ChargerRepairRounds == 0 {
-		cfg.ChargerRepairRounds = 200
-	}
-	sorted := append(FaultSchedule(nil), cfg.Schedule...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Round < sorted[b].Round })
-	return &faultEngine{cfg: cfg, sorted: sorted}
-}
-
-// step fires every fault due at the given round: scheduled events first,
-// then stochastic permanent failures, transients, correlated outages and
-// charger breakdowns. The draw order is fixed so runs stay deterministic.
-func (e *faultEngine) step(s *Simulator, round int) {
-	for e.cursor < len(e.sorted) && e.sorted[e.cursor].Round <= round {
-		e.apply(s, round, e.sorted[e.cursor])
-		e.cursor++
-	}
-	if e.sampled {
-		e.stepSampled(s, round)
-		return
-	}
-	if p := e.cfg.NodeFailurePerRound; p > 0 {
-		for i := range s.posts {
-			for j := range s.posts[i].Nodes {
-				if s.posts[i].Nodes[j].Alive && s.rng.Float64() < p {
-					s.killNode(i, j)
-				}
-			}
-		}
-	}
-	if p := e.cfg.TransientPerRound; p > 0 {
-		for i := range s.posts {
-			for j := range s.posts[i].Nodes {
-				nd := &s.posts[i].Nodes[j]
-				if nd.Alive && nd.DownUntil < round && s.rng.Float64() < p {
-					e.takeDown(s, i, j, round, e.drawOutage(s))
-				}
-			}
-		}
-	}
-	if p := e.cfg.PostOutagePerRound; p > 0 && s.rng.Float64() < p {
-		e.strike(s, s.rng.Intn(s.p.N()))
-	}
-	if p := e.cfg.ChargerFailurePerRound; p > 0 {
-		for idx, ch := range s.chargers {
-			if ch.downUntil < round && s.rng.Float64() < p {
-				e.breakCharger(s, idx, round, e.cfg.ChargerRepairRounds)
-			}
 		}
 	}
 }

@@ -228,6 +228,72 @@ func TestPerNodeBernoulliInjectionRate(t *testing.T) {
 	}
 }
 
+// TestFaultOnsetMeans checks the sampled onsets against the per-round
+// Bernoulli processes they realise. Each hazard runs alone, so its mean
+// onset count over seeds has a closed form:
+//   - permanent failures: N·(1 − (1−p)^R);
+//   - correlated outages, which recur and are never suppressed: R·p;
+//   - transients: each node alternates a geometric wait (mean 1/p rounds,
+//     the onset round included) with an outage D = ceil(Exp·M), where
+//     E[D] = 1/(1 − e^(−1/M)), so N·R/(1/p + E[D]); starting mid-wait
+//     puts the exact mean under 1% above this at these horizons;
+//   - charger breakdowns: likewise with a fixed repair C, K·R/(1/p + C).
+//
+// The high rates and short horizons make an onset drawn one round early
+// or late, or a hazard that fires while its target is down, miss by more
+// than the tolerance.
+func TestFaultOnsetMeans(t *testing.T) {
+	p, sol := testNetwork(t, 14, 250, 15, 60)
+	n := float64(p.Nodes)
+	const seeds = 40
+	cases := []struct {
+		name   string
+		faults FaultConfig
+		rounds int
+		count  func(*Metrics) int64
+		want   float64
+		tol    float64
+	}{
+		{"permanent", FaultConfig{NodeFailurePerRound: 0.2}, 3,
+			func(m *Metrics) int64 { return m.NodeFailures },
+			n * (1 - math.Pow(1-0.2, 3)), 0.15},
+		{"outage", FaultConfig{PostOutagePerRound: 0.5}, 400,
+			func(m *Metrics) int64 { return m.CorrelatedOutages },
+			400 * 0.5, 0.25},
+		{"transient", FaultConfig{TransientPerRound: 0.02, TransientMeanRounds: 50}, 3000,
+			func(m *Metrics) int64 { return m.TransientFaults },
+			n * 3000 / (1/0.02 + 1/(1-math.Exp(-1.0/50))), 0.15},
+		{"charger", FaultConfig{ChargerFailurePerRound: 0.02, ChargerRepairRounds: 50}, 3000,
+			func(m *Metrics) int64 { return m.ChargerBreakdowns },
+			2 * 3000 / (1/0.02 + 50.0), 0.25},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sum := 0.0
+			for seed := int64(0); seed < seeds; seed++ {
+				cfg := scheduleConfig(p, sol, seed)
+				cfg.Chargers = 2
+				f := tc.faults
+				cfg.Faults = &f
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := s.Run(tc.rounds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += float64(tc.count(m))
+			}
+			mean := sum / seeds
+			t.Logf("mean onsets %.2f, closed form %.2f", mean, tc.want)
+			if math.Abs(mean-tc.want) > tc.tol*tc.want {
+				t.Errorf("mean onsets %.2f, want %.2f within %.0f%%", mean, tc.want, 100*tc.tol)
+			}
+		})
+	}
+}
+
 func TestFaultScheduleDeterminism(t *testing.T) {
 	p, sol := testNetwork(t, 36, 200, 12, 48)
 	run := func() Metrics {

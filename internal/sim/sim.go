@@ -456,9 +456,6 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.metrics.FirstLossRound = -1
 	s.metrics.FirstPartitionRound = -1
-	if faultCfg.active() {
-		s.faults = newFaultEngine(faultCfg)
-	}
 
 	if err := s.rebuildDerived(); err != nil {
 		return nil, err
@@ -501,12 +498,10 @@ func New(cfg Config) (*Simulator, error) {
 			s.chargers = append(s.chargers, ch)
 		}
 	}
+	if faultCfg.active() {
+		s.faults = newFaultEngine(s, faultCfg)
+	}
 	if s.eventMode {
-		if s.faults != nil {
-			// The event core replaces per-round Bernoulli draws with
-			// sampled next-event times (geometric/exponential inversion).
-			s.faults.initSampled(s)
-		}
 		s.span.init(s.posts)
 	}
 	return s, nil

@@ -39,6 +39,15 @@ type optimalTrace struct {
 
 type optimalTraceKey struct{}
 
+// fill records a finished search's probe count and evaluator counters.
+// It stays out of line so that Optimal's code does not grow with the
+// counter set.
+//
+//go:noinline
+func (tr *optimalTrace) fill(probes int64, ev *model.IncrementalEvaluator) {
+	tr.probes, tr.stats = probes, ev.Stats()
+}
+
 // ErrSearchBudget is returned when Optimal exceeds MaxEvaluations.
 var ErrSearchBudget = errors.New("solver: optimal search exceeded its evaluation budget")
 
@@ -242,7 +251,7 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 	}
 	err = dfs(0, p.Nodes)
 	if tr, ok := ctx.Value(optimalTraceKey{}).(*optimalTrace); ok {
-		tr.probes, tr.stats = probes, ev.ev.Stats()
+		tr.fill(probes, ev.ev)
 	}
 	if err != nil {
 		return nil, err
