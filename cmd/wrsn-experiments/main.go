@@ -54,7 +54,6 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -725,43 +724,14 @@ func (h *execHandle) Kill() {
 	}
 }
 
-// writeJSON atomically writes v as indented JSON to path: encode into a
-// temp file in the destination's directory, fsync, then rename over the
-// target. A crash or encode failure at any point leaves an existing
-// artifact at path untouched — readers never see a truncated file.
+// writeJSON writes v as indented JSON to path through
+// engine.WriteFileAtomic: a crash or encode failure at any point leaves
+// an existing artifact at path untouched, so readers never see a
+// truncated file. The directory must exist.
 func writeJSON(path string, v interface{}) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	discard := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return discard(err)
-	}
-	if err := f.Sync(); err != nil {
-		return discard(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Persist the rename itself; best-effort, as not every filesystem
-	// supports directory fsync.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return engine.WriteFileAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"wrsn/internal/daemon"
+	"wrsn/internal/engine"
 	"wrsn/internal/geom"
 	"wrsn/internal/model"
 	"wrsn/internal/placement"
@@ -359,7 +360,14 @@ loop:
 		return err
 	}
 	if *out != "" {
-		if err := writeAtomic(*out, append(enc, '\n')); err != nil {
+		if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
+			return err
+		}
+		err := engine.WriteFileAtomic(*out, func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "%s\n", enc)
+			return err
+		})
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrsn-loadgen: artifact written to %s\n", *out)
@@ -424,42 +432,4 @@ func scrapeStatz(client *http.Client, base string) (*daemon.Stats, error) {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// writeAtomic writes data to path via a same-dir temp file and rename.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

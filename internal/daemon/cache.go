@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -97,10 +98,10 @@ func (c *planCache) snapshot() []cacheEntry {
 	return out
 }
 
-// Plan-cache journal: the PR 5 CRC-framed JSONL format (via the engine's
-// exported framed codec), one header record followed by one record per
-// plan, oldest-first. The journal is written whole and atomically
-// (same-dir temp + fsync + rename) at drain, and replayed at startup so
+// Plan-cache journal: the checkpoint journal's CRC-framed JSONL format
+// (via the engine's exported framed codec), one header record followed
+// by one record per plan, oldest-first. The journal is written whole
+// through engine.WriteFileAtomic at drain, and replayed at startup so
 // a restarted daemon answers repeated requests from cache with
 // byte-identical plans.
 
@@ -121,53 +122,35 @@ type planRecord struct {
 	Plan json.RawMessage `json:"plan"`
 }
 
-// save writes the cache to path atomically: framed lines into a same-dir
-// temp file, fsync, rename over path, fsync the directory.
+// save writes the cache to path through engine.WriteFileAtomic, creating
+// the directory if needed: a crash leaves the previous journal or the
+// new one, never a mix.
 func (c *planCache) save(path string) error {
 	entries := c.snapshot()
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("daemon: plan-cache journal: %w", err)
-	}
-	write := func(kind string, rec interface{}) error {
-		line, err := engine.EncodeFramed(kind, rec)
-		if err != nil {
+	err := engine.WriteFileAtomic(path, func(w io.Writer) error {
+		write := func(kind string, rec interface{}) error {
+			line, err := engine.EncodeFramed(kind, rec)
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(line)
 			return err
 		}
-		_, err = tmp.Write(line)
-		return err
-	}
-	if err := write("h", planJournalHeader{Version: planJournalVersion, Tool: "wrsnd"}); err != nil {
-		return fail(err)
-	}
-	for _, ent := range entries {
-		if err := write("p", planRecord{Sig: ent.sig, Plan: ent.plan}); err != nil {
-			return fail(err)
+		if err := write("h", planJournalHeader{Version: planJournalVersion, Tool: "wrsnd"}); err != nil {
+			return err
 		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+		for _, ent := range entries {
+			if err := write("p", planRecord{Sig: ent.sig, Plan: ent.plan}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("daemon: plan-cache journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("daemon: plan-cache journal: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,61 +119,39 @@ func decodeLine(line []byte) (kind string, rec json.RawMessage, err error) {
 	return jl.Kind, jl.Rec, nil
 }
 
-// decodeJournal replays journal bytes: the header, every valid cell
-// record, and the byte length of the valid prefix. It never panics. A
-// corrupt or torn *final* line is tolerated (the artifact of a crash
-// mid-append) and excluded from validLen so the caller can truncate it
-// away; corruption anywhere earlier returns ErrJournalCorrupt. If the
-// very first record is unusable the journal is treated as empty
-// (hdr == nil, validLen 0). Duplicate cell records keep the first copy —
-// cells are deterministic, so any duplicate carries the same values.
+// decodeJournal replays journal bytes through DecodeFramed: the header,
+// every valid cell record, and the byte length of the valid prefix. It
+// never panics. A torn, CRC-failing or semantically bad *final* line is
+// tolerated (the artifact of a crash mid-append) and excluded from
+// validLen so the caller can truncate it away; a bad record anywhere
+// earlier returns ErrJournalCorrupt. If the very first record is
+// unusable the journal is treated as empty (hdr == nil, validLen 0).
+// Duplicate cell records keep the first copy — cells are deterministic,
+// so any duplicate carries the same values.
 func decodeJournal(data []byte) (hdr *journalHeader, recs []CellRecord, validLen int, err error) {
+	lines, validLen, ferr := DecodeFramed(data)
 	seen := map[[3]int]bool{}
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// Unterminated final line: the append never completed (the
-			// newline is written with the record). Torn tail, even if
-			// the fragment happens to parse — committed records always
-			// end in '\n', and appends must start on a fresh line.
-			return hdr, recs, off, nil
-		}
-		lineEnd, next := off+nl, off+nl+1
-		line := data[off:lineEnd]
-		isLast := next >= len(data)
-
-		bad := func(cause error) (*journalHeader, []CellRecord, int, error) {
-			if isLast {
-				return hdr, recs, off, nil // torn tail: keep the valid prefix
-			}
-			return nil, nil, 0, fmt.Errorf("%w: record at byte %d: %v", ErrJournalCorrupt, off, cause)
-		}
-
-		kind, raw, lerr := decodeLine(line)
-		if lerr != nil {
-			return bad(lerr)
-		}
-		switch kind {
+	replay := func(line FramedRecord) error {
+		switch line.Kind {
 		case "h":
 			var h journalHeader
-			if uerr := json.Unmarshal(raw, &h); uerr != nil {
-				return bad(uerr)
+			if err := json.Unmarshal(line.Rec, &h); err != nil {
+				return err
 			}
 			if hdr != nil {
-				return bad(errors.New("duplicate header"))
+				return errors.New("duplicate header")
 			}
 			if len(recs) > 0 {
-				return bad(errors.New("header after cell records"))
+				return errors.New("header after cell records")
 			}
 			hdr = &h
 		case "c":
 			if hdr == nil {
-				return bad(errors.New("cell record before header"))
+				return errors.New("cell record before header")
 			}
 			var c CellRecord
-			if uerr := json.Unmarshal(raw, &c); uerr != nil {
-				return bad(uerr)
+			if err := json.Unmarshal(line.Rec, &c); err != nil {
+				return err
 			}
 			key := [3]int{c.Point, c.Seed, c.Algo}
 			if !seen[key] {
@@ -182,11 +159,28 @@ func decodeJournal(data []byte) (hdr *journalHeader, recs []CellRecord, validLen
 				recs = append(recs, c)
 			}
 		default:
-			return bad(fmt.Errorf("unknown record kind %q", kind))
+			return fmt.Errorf("unknown record kind %q", line.Kind)
 		}
-		off = next
+		return nil
 	}
-	return hdr, recs, off, nil
+	for i, line := range lines {
+		cause := replay(line)
+		if cause == nil {
+			continue
+		}
+		end := validLen
+		if i+1 < len(lines) {
+			end = lines[i+1].Off
+		}
+		if end == len(data) {
+			return hdr, recs, line.Off, nil // torn tail: keep the valid prefix
+		}
+		return nil, nil, 0, fmt.Errorf("%w: record at byte %d: %v", ErrJournalCorrupt, line.Off, cause)
+	}
+	if ferr != nil {
+		return nil, nil, 0, ferr
+	}
+	return hdr, recs, validLen, nil
 }
 
 // headerMatches reports whether a replayed journal belongs to the sweep
@@ -266,7 +260,7 @@ func openJournal(cp *Checkpoint, sw *Sweep, lease *LeaseMeta) (*journal, []CellR
 		f.Close()
 		return nil, nil, err
 	}
-	syncDir(cp.Dir)
+	SyncDir(cp.Dir)
 	return j, nil, nil
 }
 
@@ -297,17 +291,4 @@ func algoLabels(sw *Sweep) []string {
 		labels[i] = sw.Algorithms[i].Label
 	}
 	return labels
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed file
-// survives a crash. Errors are ignored: not every platform or filesystem
-// supports directory fsync, and losing it only weakens crash atomicity
-// back to the pre-fsync status quo.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -172,44 +173,34 @@ func ReadSegment(path string, sw *Sweep) (*Segment, error) {
 // replays it without executing any cell, assembling a Result
 // byte-identical to an uninterrupted in-process run — this is the
 // sharded sweep merge path. Records should be in grid order; the file
-// is written whole and fsynced once.
+// is replaced whole through WriteFileAtomic, so a crash leaves either
+// the previous merged journal or the new one.
 func WriteMergedJournal(dir string, sw *Sweep, recs []CellRecord) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
 	path := journalPath(dir, sw.ID)
-	f, err := os.Create(path)
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		write := func(kind string, rec interface{}) error {
+			line, err := encodeLine(kind, rec)
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(line)
+			return err
+		}
+		if err := write("h", headerFor(sw, nil)); err != nil {
+			return err
+		}
+		for _, rec := range recs {
+			if err := write("c", rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return "", err
 	}
-	write := func(kind string, rec interface{}) error {
-		line, err := encodeLine(kind, rec)
-		if err != nil {
-			return err
-		}
-		_, err = f.Write(line)
-		return err
-	}
-	fail := func(err error) (string, error) {
-		f.Close()
-		os.Remove(path)
-		return "", err
-	}
-	if err := write("h", headerFor(sw, nil)); err != nil {
-		return fail(err)
-	}
-	for _, rec := range recs {
-		if err := write("c", rec); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return "", err
-	}
-	syncDir(dir)
 	return path, nil
 }

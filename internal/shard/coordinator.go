@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -144,7 +145,12 @@ func Coordinate(ctx context.Context, sw *engine.Sweep, runCfg engine.RunConfig, 
 	}
 	report := &Report{Shards: len(st.Shards)}
 	persist := func() error {
-		if err := writeJSONAtomic(l.statePath(sw.ID), st); err != nil {
+		err := engine.WriteFileAtomic(l.statePath(sw.ID), func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(st)
+		})
+		if err != nil {
 			return fmt.Errorf("shard: persist lease table: %w", err)
 		}
 		return nil

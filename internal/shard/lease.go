@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -33,7 +34,10 @@ func ParseRange(s string) (start, end int, err error) {
 // the liveness signal the coordinator watches. The payload (done-cell
 // count) is informational.
 func writeHeartbeat(l layout, lease Lease, done int) error {
-	return writeFileAtomic(l.heartbeatPath(lease), []byte(fmt.Sprintf("{\"done\":%d}\n", done)))
+	return engine.WriteFileAtomic(l.heartbeatPath(lease), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "{\"done\":%d}\n", done)
+		return err
+	})
 }
 
 // lastBeat returns the heartbeat file's mtime, or the zero time if the

@@ -55,7 +55,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,55 +99,4 @@ func (l layout) ensure() error {
 		}
 	}
 	return nil
-}
-
-// writeFileAtomic writes data to path via a same-directory temp file,
-// fsync and rename, so readers never observe a partial file and a crash
-// mid-write leaves any previous version intact.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	discard := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return discard(err)
-	}
-	if err := f.Sync(); err != nil {
-		return discard(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// writeJSONAtomic marshals v and writes it atomically to path.
-func writeJSONAtomic(path string, v interface{}) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, append(data, '\n'))
-}
-
-// syncDir fsyncs a directory so renames into it survive a crash
-// (best-effort: not every filesystem supports directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

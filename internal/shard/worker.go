@@ -165,7 +165,7 @@ func RunWorker(ctx context.Context, sw *engine.Sweep, cfg WorkerConfig) (*engine
 	if err := os.Rename(journalIn(workDir, sw.ID), l.segPath(cfg.Lease)); err != nil {
 		return nil, fmt.Errorf("shard: commit segment: %w", err)
 	}
-	syncDir(l.segDir())
+	engine.SyncDir(l.segDir())
 	_ = os.RemoveAll(workDir)
 	return res, nil
 }

@@ -47,23 +47,9 @@ func newChargerState(cfg *ChargerConfig, p interface{ N() int }) (*chargerState,
 	return &chargerState{cfg: c, target: -1}, nil
 }
 
-// init positions the charger on first use (deferred so the simulator can
-// construct the state before the problem geometry is consulted).
-func (c *chargerState) initPosition(s *Simulator) {
-	if c.cfg.StartAt != nil {
-		c.pos = *c.cfg.StartAt
-	} else {
-		c.pos = s.p.BS
-	}
-	c.cfg.StartAt = &c.pos // mark initialised
-}
-
 // step runs one charger round: pick/keep a target, travel toward it, and
 // charge once on site.
 func (c *chargerState) step(s *Simulator) {
-	if c.cfg.StartAt == nil {
-		c.initPosition(s)
-	}
 	if c.target >= 0 && c.doneWith(s, c.target) {
 		s.claimed[c.target] = false
 		c.target = -1

@@ -244,8 +244,8 @@ func (s *Simulator) computeSpan() {
 
 // eventHorizon returns how many rounds ahead are certified free of the
 // events that need no span snapshot to see — a due repair, the fault
-// engine's next onset, a charger that is uninitialised, done, parked or
-// arriving — capped at maxL. Idle chargers are left to spanLength, which
+// engine's next onset, a charger that is done, parked or arriving —
+// capped at maxL. Idle chargers are left to spanLength, which
 // bounds them from the snapshot. 0 means the next round must run through
 // step(); since spanLength only lowers this bound, skipping the snapshot
 // then changes no span.
@@ -265,7 +265,7 @@ func (s *Simulator) eventHorizon(maxL int) int {
 		}
 	}
 
-	// Chargers: down, uninitialised, finishing, parked or travelling.
+	// Chargers: down, finishing, parked or travelling.
 	for _, c := range s.chargers {
 		if l <= 0 {
 			return 0
@@ -307,9 +307,7 @@ func (s *Simulator) spanLength(l int) int {
 		}
 	}
 
-	// Idle chargers: eventHorizon returned 0 for an uninitialised one, so
-	// every charger here is initialised, and one that is up with no
-	// target is idle.
+	// Idle chargers: one that is up with no target is idle.
 	for _, c := range s.chargers {
 		if c.target < 0 && c.downUntil <= r0 {
 			l = min(l, s.idleHorizon(c))
@@ -330,9 +328,6 @@ func (s *Simulator) spanLength(l int) int {
 func (s *Simulator) chargerHorizon(c *chargerState, r0 int) int {
 	if c.downUntil > r0 {
 		return c.downUntil - r0
-	}
-	if c.cfg.StartAt == nil {
-		return 0 // first step initialises the position: run it exactly
 	}
 	if c.target < 0 {
 		return math.MaxInt // idle: spanLength applies idleHorizon

@@ -34,7 +34,6 @@ import (
 	"math"
 	"math/rand"
 
-	"wrsn/internal/geom"
 	"wrsn/internal/graph"
 	"wrsn/internal/heal"
 	"wrsn/internal/model"
@@ -146,8 +145,6 @@ type ChargerConfig struct {
 	// TargetFrac marks a post as needing charge when its lowest node
 	// falls below this fraction (default 0.5).
 	TargetFrac float64
-	// StartAt is the charger's initial location (default: the BS).
-	StartAt *geom.Point
 	// Policy selects the target-picking strategy (default PolicyUrgency).
 	Policy ChargerPolicy
 }
@@ -495,6 +492,7 @@ func New(cfg Config) (*Simulator, error) {
 			if err != nil {
 				return nil, err
 			}
+			ch.pos = p.BS // every charger starts at the base station
 			s.chargers = append(s.chargers, ch)
 		}
 	}

@@ -158,17 +158,18 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 				}
 				cost, evalErr := ev.CostDelta(extraMoves(extra))
 				evaluations++
+				if evalErr == nil {
+					evalErr = ev.Revert()
+				}
 				if evalErr != nil {
 					evalFailure = evalErr // impossible once the instance validated; keep the loop honest
 					return false
 				}
-				if evalErr := ev.Revert(); evalErr != nil {
-					evalFailure = evalErr
-					return false
-				}
-				// Order by (cost, lexicographic placement), so ties
-				// resolve to one deployment whatever the enumeration.
-				if !found || less(cost, extra, bestCost, bestExtra) {
+				// ForEachComposition visits compositions in ascending
+				// lexicographic order, so keeping the incumbent on a tie
+				// (within costSlack) picks the lexicographically smallest
+				// placement among the cheapest.
+				if !found || cost < bestCost-costSlack {
 					found = true
 					bestCost = cost
 					copy(bestExtra, extra)
@@ -264,7 +265,7 @@ func idbGrow(ctx context.Context, ev model.Evaluator, cur []int, curCost float64
 // not. A candidate replaces the incumbent only on
 // cost < bestCost-costSlack: the first-seen placement (largest i) is
 // the lexicographically smallest extra vector, so every tie keeps the
-// incumbent, exactly as less() orders compositions. That test is also
+// incumbent, the same test and order as the δ>1 rounds. That test is also
 // the pricing limit — a candidate priced pruned or rejected (exact cost
 // >= limit) could not have replaced the incumbent, so bounded pricing
 // never changes the winner.
@@ -305,22 +306,4 @@ func bestUnitAdd(ctx context.Context, ev model.Evaluator, cur, ub []int, evaluat
 		}
 	}
 	return bestI, bestCost, nil
-}
-
-// less orders δ>1 candidates by (cost, lexicographic placement). Cost
-// comparisons use costSlack so floating-point noise cannot flip the
-// placement order.
-func less(costA float64, extraA []int, costB float64, extraB []int) bool {
-	if costA < costB-costSlack {
-		return true
-	}
-	if costA > costB+costSlack {
-		return false
-	}
-	for i := range extraA {
-		if extraA[i] != extraB[i] {
-			return extraA[i] < extraB[i]
-		}
-	}
-	return false
 }
