@@ -116,8 +116,9 @@ func BenchmarkSimMobileCharger(b *testing.B) {
 // tree-derived rebuild. A scheduled post kill inside the warm-up builds
 // the healer and grows the repair buffers, so CI gates this benchmark at
 // 0 allocs/op next to the other two. A post death's partition check
-// (model.SurvivorsReachable) still allocates its BFS buffers; post
-// deaths come a few per hundred ops, under the gate's resolution.
+// keeps its survivor mask in a persistent buffer, but
+// model.SurvivorsReachable still allocates its BFS buffers; post deaths
+// come a few per hundred ops, under the gate's resolution.
 func BenchmarkSimFaultyLifetime(b *testing.B) {
 	p, sol := rotationNetwork(b, 21, 250, 15, 6)
 	s, err := New(Config{
@@ -151,6 +152,48 @@ func BenchmarkSimFaultyLifetime(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.runEvent(ctx, 1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimFaultDense prices one job of the lifetime-sim workload's
+// shape: Fig. 8-scale posts (100 posts, 600 nodes), 1e-4 permanent and
+// 1e-4 transient failures per node-round, a slow charger and online
+// repair with a 10-round latency, run by the event core over three
+// battery lifetimes. Nearly every span holds sampled node faults, so this
+// prices firing them inside the span and settling the touched posts.
+// Jobs cycle through five failure seeds, as lifetime-sim simulates each
+// plan under five; each builds its simulator with the timer stopped.
+// A job builds its healer on the first repair and runs a partition
+// check (model.SurvivorsReachable, which allocates its BFS buffers) on
+// every post death, so its allocations count those, not the spans.
+func BenchmarkSimFaultDense(b *testing.B) {
+	p, sol := testNetwork(b, 20, 500, 100, 600)
+	cfg := Config{
+		Problem:  p,
+		Solution: sol,
+		Charger:  &ChargerConfig{PowerPerRound: 1e9, SpeedPerRound: 25},
+		Faults: &FaultConfig{
+			NodeFailurePerRound: 1e-4,
+			TransientPerRound:   1e-4,
+			TransientMeanRounds: 50,
+		},
+		Repair:  &RepairConfig{LatencyRounds: 10},
+		Stepper: StepperEvent,
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg.Seed = int64(1 + i%5)
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := s.runEvent(ctx, 3*DefaultBatteryRounds); err != nil {
 			b.Fatal(err)
 		}
 	}

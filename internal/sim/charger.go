@@ -78,6 +78,11 @@ func (c *chargerState) step(s *Simulator) {
 	c.charge(s, c.target)
 }
 
+// idle reports whether the charger is up after round r0 with no target.
+func (c *chargerState) idle(r0 int) bool {
+	return c.target < 0 && c.downUntil <= r0
+}
+
 // doneWith reports whether the post no longer needs charging (all usable
 // nodes at FillToFrac, or no usable nodes).
 func (c *chargerState) doneWith(s *Simulator, post int) bool {

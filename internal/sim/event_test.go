@@ -39,10 +39,9 @@ func cloneConfig(cfg Config) Config {
 	return out
 }
 
-// runCore runs one configuration under the given stepper with a CSV
-// tracer (sampling every `every` rounds) and an availability tracer
-// attached, and returns the simulator, metrics and trace output.
-func runCore(t *testing.T, cfg Config, kind StepperKind, rounds, every int) (*Simulator, *Metrics, []byte, *AvailabilityTracer) {
+// newCore builds one configuration under the given stepper and applies
+// prep (nil for none) to the fresh simulator.
+func newCore(t *testing.T, cfg Config, kind StepperKind, prep func(*Simulator)) *Simulator {
 	t.Helper()
 	c := cloneConfig(cfg)
 	c.Stepper = kind
@@ -50,6 +49,18 @@ func runCore(t *testing.T, cfg Config, kind StepperKind, rounds, every int) (*Si
 	if err != nil {
 		t.Fatalf("New(%q): %v", kind, err)
 	}
+	if prep != nil {
+		prep(s)
+	}
+	return s
+}
+
+// runCore runs one configuration under the given stepper with a CSV
+// tracer (sampling every `every` rounds) and an availability tracer
+// attached, and returns the simulator, metrics and trace output.
+func runCore(t *testing.T, cfg Config, kind StepperKind, prep func(*Simulator), rounds, every int) (*Simulator, *Metrics, []byte, *AvailabilityTracer) {
+	t.Helper()
+	s := newCore(t, cfg, kind, prep)
 	var csv bytes.Buffer
 	csvTr := NewCSVTracer(&csv, every)
 	avail := &AvailabilityTracer{}
@@ -137,12 +148,13 @@ func reportFirstCSVDiff(t *testing.T, a, b []byte) {
 // tracer attached, the way lifetime studies and the figures run it.
 func runUntraced(t *testing.T, cfg Config, kind StepperKind, rounds int) (*Simulator, *Metrics) {
 	t.Helper()
-	c := cloneConfig(cfg)
-	c.Stepper = kind
-	s, err := New(c)
-	if err != nil {
-		t.Fatalf("New(%q): %v", kind, err)
-	}
+	return runUntracedPrep(t, cfg, kind, nil, rounds)
+}
+
+// runUntracedPrep is runUntraced with prep applied to the simulator.
+func runUntracedPrep(t *testing.T, cfg Config, kind StepperKind, prep func(*Simulator), rounds int) (*Simulator, *Metrics) {
+	t.Helper()
+	s := newCore(t, cfg, kind, prep)
 	m, err := s.Run(rounds)
 	if err != nil {
 		t.Fatalf("Run(%q): %v", kind, err)
@@ -155,8 +167,15 @@ func runUntraced(t *testing.T, cfg Config, kind StepperKind, rounds int) (*Simul
 // rotation post by post instead of one round per call.
 func diffRunUntraced(t *testing.T, name string, cfg Config, rounds int) {
 	t.Helper()
-	exact, me := runUntraced(t, cfg, StepperExact, rounds)
-	event, mv := runUntraced(t, cfg, StepperEvent, rounds)
+	diffRunUntracedPrep(t, name, cfg, nil, rounds)
+}
+
+// diffRunUntracedPrep is diffRunUntraced with prep applied to both
+// simulators.
+func diffRunUntracedPrep(t *testing.T, name string, cfg Config, prep func(*Simulator), rounds int) {
+	t.Helper()
+	exact, me := runUntracedPrep(t, cfg, StepperExact, prep, rounds)
+	event, mv := runUntracedPrep(t, cfg, StepperEvent, prep, rounds)
 	assertSameState(t, name+"/untraced", exact, event, me, mv)
 }
 
@@ -166,10 +185,16 @@ func diffRunUntraced(t *testing.T, name string, cfg Config, rounds int) {
 // replays).
 func diffRun(t *testing.T, name string, cfg Config, rounds int) {
 	t.Helper()
-	diffRunUntraced(t, name, cfg, rounds)
+	diffRunPrep(t, name, cfg, nil, rounds)
+}
+
+// diffRunPrep is diffRun with prep applied to every simulator it builds.
+func diffRunPrep(t *testing.T, name string, cfg Config, prep func(*Simulator), rounds int) {
+	t.Helper()
+	diffRunUntracedPrep(t, name, cfg, prep, rounds)
 	for _, every := range []int{1, 7} {
-		exact, me, csvE, availE := runCore(t, cfg, StepperExact, rounds, every)
-		event, mv, csvV, availV := runCore(t, cfg, StepperEvent, rounds, every)
+		exact, me, csvE, availE := runCore(t, cfg, StepperExact, prep, rounds, every)
+		event, mv, csvV, availV := runCore(t, cfg, StepperEvent, prep, rounds, every)
 		assertIdentical(t, fmt.Sprintf("%s/every=%d", name, every), exact, event, me, mv, csvE, csvV, availE, availV)
 	}
 }
@@ -690,7 +715,7 @@ func TestIdleHorizonRotationBound(t *testing.T) {
 // TestEventCoreSpanShare pins how much of a lifetime-shaped run (three
 // battery lifetimes) the event core fast-forwards. With the idle-charger
 // horizon bounded by the weakest node alone, 61% of rounds ran through
-// step().
+// step(); with every sampled fault onset ending its span, 16%.
 func TestEventCoreSpanShare(t *testing.T) {
 	cfg := lifetimeConfig(t)
 	cfg.Stepper = StepperEvent
@@ -707,17 +732,18 @@ func TestEventCoreSpanShare(t *testing.T) {
 	if st.ReducedRounds+st.EventRounds != int64(m.Rounds) {
 		t.Fatalf("core stats %+v do not add up to %d rounds", st, m.Rounds)
 	}
-	if share := float64(st.EventRounds) / float64(m.Rounds); share > 0.30 {
-		t.Errorf("%.1f%% of rounds ran through step() (%+v), want <= 30%%", 100*share, st)
+	if share := float64(st.EventRounds) / float64(m.Rounds); share > 0.10 {
+		t.Errorf("%.1f%% of rounds ran through step() (%+v), want <= 10%%", 100*share, st)
 	}
 }
 
 // TestEventCoreRealisationPin pins one stochastic lifetime-shaped run
 // (lifetimeConfig) to the metrics and battery bits the event core
-// produced before its replay was made post-major and its horizons were
-// folded into the span snapshot. Those changes must alter no
-// realisation: the same RNG draws and the same float operations. The
-// core counters are pinned too; they move only when a horizon does.
+// produced before its replay was made post-major, its horizons were
+// folded into the span snapshot and its sampled faults moved inside
+// spans. Those changes must alter no realisation: the same RNG draws and
+// the same float operations. The core counters are pinned too; they
+// move only when a horizon or a span boundary does.
 // amd64 only: math.Hypot
 // and math.Log, which the run's geometry and fault sampling use, have
 // amd64 assembly and may round differently elsewhere.
@@ -761,7 +787,7 @@ func TestEventCoreRealisationPin(t *testing.T) {
 	if *m != want {
 		t.Errorf("metrics:\n got %+v\nwant %+v", *m, want)
 	}
-	if got, want := s.CoreStats(), (CoreStats{Spans: 815, ReducedRounds: 5066, EventRounds: 934}); got != want {
+	if got, want := s.CoreStats(), (CoreStats{Spans: 411, ReducedRounds: 5612, EventRounds: 388}); got != want {
 		t.Errorf("core stats: got %+v, want %+v", got, want)
 	}
 	h := fnv.New64a()

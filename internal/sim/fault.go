@@ -295,17 +295,22 @@ func newFaultEngine(s *Simulator, cfg FaultConfig) *faultEngine {
 	return e
 }
 
-// nextEventRound returns the earliest round at which the engine will
-// fire anything — scheduled or sampled — or 0 when nothing remains.
-func (e *faultEngine) nextEventRound() int {
-	next := 0
+// nextScheduled returns the round of the next scheduled event, or 0 when
+// the schedule is exhausted.
+func (e *faultEngine) nextScheduled() int {
 	if e.cursor < len(e.sorted) {
-		next = e.sorted[e.cursor].Round
+		return e.sorted[e.cursor].Round
 	}
-	if len(e.pending) > 0 && (next == 0 || e.pending[0].round < next) {
-		next = e.pending[0].round
+	return 0
+}
+
+// nextSampled returns the earliest pending sampled onset round, or 0 when
+// none is pending.
+func (e *faultEngine) nextSampled() int {
+	if len(e.pending) > 0 {
+		return e.pending[0].round
 	}
-	return next
+	return 0
 }
 
 // step fires every fault due at the given round: scheduled events first,
@@ -395,6 +400,7 @@ func (e *faultEngine) drawOutage(s *Simulator) int {
 func (e *faultEngine) takeDown(s *Simulator, post, node, round, rounds int) {
 	s.posts[post].Nodes[node].DownUntil = round + rounds
 	s.metrics.TransientFaults++
+	s.touch(post)
 }
 
 // strike fires one correlated outage centred on the given post: every

@@ -324,9 +324,10 @@ type Simulator struct {
 	metrics  Metrics
 	tracer   Tracer
 
-	faults   *faultEngine
-	deadPost []bool // posts whose last node died (detected)
-	dying    []int  // posts that lost a node this round (detectDeaths checks them)
+	faults    *faultEngine
+	deadPost  []bool // posts whose last node died (detected)
+	touched   []int  // posts whose nodes a fault killed or took down this round
+	aliveMask []bool // detectDeaths' partition-check scratch
 
 	planCost         float64 // analytic cost of the original plan (repair metric baseline)
 	repairPending    bool
@@ -432,12 +433,13 @@ func New(cfg Config) (*Simulator, error) {
 	}
 
 	s := &Simulator{
-		cfg:      cfg,
-		p:        p,
-		tree:     cfg.Solution.Tree.Clone(),
-		deadPost: make([]bool, n),
-		arrived:  make([]int64, n),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		cfg:       cfg,
+		p:         p,
+		tree:      cfg.Solution.Tree.Clone(),
+		deadPost:  make([]bool, n),
+		aliveMask: make([]bool, n),
+		arrived:   make([]int64, n),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
 	switch cfg.Stepper {
 	case StepperAuto:
@@ -616,11 +618,24 @@ func (s *Simulator) RoundAvailability() float64 {
 	return float64(s.lastRoundDelivered) / float64(s.p.N())
 }
 
-// step executes one reporting round followed by fault injection, repair
-// bookkeeping and one charger round.
+// step executes one round: its reporting phase, then fault injection,
+// death detection and repair scheduling, then one charger round. The
+// event core runs the same three phases, the last two also inside a
+// span when a sampled fault fires there (event.go).
 func (s *Simulator) step() {
 	s.metrics.Rounds++
 	round := s.metrics.Rounds
+	s.reportPhase(round)
+	s.faultPhase(round)
+	s.chargerPhase(round)
+	if s.tracer != nil {
+		s.tracer.Observe(round, s)
+	}
+}
+
+// reportPhase applies a due repair, then moves every post's report one
+// round through the tree, paying each operational post's rotation node.
+func (s *Simulator) reportPhase(round int) {
 	n := s.p.N()
 
 	// A due repair takes effect before this round's reports move.
@@ -690,17 +705,26 @@ func (s *Simulator) step() {
 	}
 	s.metrics.NetworkEnergy += roundNE
 	s.lastRoundDelivered = s.metrics.ReportsDelivered - deliveredBefore
+}
 
-	// Fault injection, death detection and repair scheduling.
-	if s.faults != nil {
-		deaths := s.metrics.NodeFailures
-		s.faults.step(s, round)
-		if s.metrics.NodeFailures != deaths {
-			s.detectDeaths(round)
-		}
+// faultPhase fires the round's faults, recording every post that lost or
+// took down a node in s.touched, then runs death detection and repair
+// scheduling when a node died. Only scheduled node faults read a battery
+// (they pick their node by energy).
+func (s *Simulator) faultPhase(round int) {
+	if s.faults == nil {
+		return
 	}
+	s.touched = s.touched[:0]
+	deaths := s.metrics.NodeFailures
+	s.faults.step(s, round)
+	if s.metrics.NodeFailures != deaths {
+		s.detectDeaths(round)
+	}
+}
 
-	// Charger movement/charging.
+// chargerPhase moves or charges every charger that is in service.
+func (s *Simulator) chargerPhase(round int) {
 	for _, ch := range s.chargers {
 		if ch.downUntil >= round {
 			s.metrics.ChargerDownRounds++
@@ -708,31 +732,26 @@ func (s *Simulator) step() {
 		}
 		ch.step(s)
 	}
-
-	if s.tracer != nil {
-		s.tracer.Observe(round, s)
-	}
 }
 
-// detectDeaths checks the posts that lost a node this round for a last
+// detectDeaths checks the posts a fault touched this round for a last
 // death, updates the partition metrics and schedules a repair when the
 // policy is enabled.
 func (s *Simulator) detectDeaths(round int) {
 	newDeath := false
-	for _, i := range s.dying {
+	for _, i := range s.touched {
 		if !s.deadPost[i] && s.posts[i].AliveCount() == 0 {
 			s.deadPost[i] = true
 			s.metrics.PostsDead++
 			newDeath = true
 		}
 	}
-	s.dying = s.dying[:0]
 	if !newDeath {
 		return
 	}
 	// Physical partition check: can every surviving post still reach the
 	// BS through survivors at maximum range?
-	alive := make([]bool, len(s.posts))
+	alive := s.aliveMask
 	for i := range alive {
 		alive[i] = !s.deadPost[i]
 	}
@@ -804,8 +823,13 @@ func (s *Simulator) killNode(post, node int) {
 	}
 	s.posts[post].Nodes[node].Alive = false
 	s.metrics.NodeFailures++
-	if k := len(s.dying); k == 0 || s.dying[k-1] != post {
-		s.dying = append(s.dying, post)
+	s.touch(post)
+}
+
+// touch records that a fault changed one of the post's nodes this round.
+func (s *Simulator) touch(post int) {
+	if k := len(s.touched); k == 0 || s.touched[k-1] != post {
+		s.touched = append(s.touched, post)
 	}
 }
 
